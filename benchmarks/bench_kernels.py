@@ -1,12 +1,12 @@
-"""Timing comparison of the jitted kernels against the numpy fallback.
+"""Timing comparison of the jitted cut kernels against the numpy fallback.
 
 Usage:
-    python3 benchmarks/bench_kernels.py [--qubits 16] [--cut-vertices 18]
-                                        [--repeats 50]
+    python3 benchmarks/bench_kernels.py [--cut-vertices 18] [--repeats 50]
 
 Requires numba importable and RRBANDIT_NO_NUMBA unset; otherwise only the
 fallback exists and there is nothing to compare. Each kernel is checked
-for agreement between the two variants before timing.
+for agreement between the two variants before timing. The statevector
+gates have no numba variant.
 """
 
 import argparse
@@ -16,11 +16,6 @@ import time
 import numpy as np
 
 from rrbandit import _accel
-
-
-def _random_state(n, rng):
-    amp = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return np.ascontiguousarray(amp / np.linalg.norm(amp))
 
 
 def _time(fn, args, repeats):
@@ -47,7 +42,6 @@ def _report(name, numpy_fn, numba_fn, make_args, check, repeats):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--qubits", type=int, default=16)
     parser.add_argument("--cut-vertices", type=int, default=18)
     parser.add_argument("--repeats", type=int, default=50)
     args = parser.parse_args()
@@ -58,12 +52,6 @@ def main():
         return 1
 
     rng = np.random.default_rng(0)
-    n = args.qubits
-    state = _random_state(n, rng)
-    diag = rng.standard_normal(1 << n)
-    h = 1.0 / math.sqrt(2.0)
-    close = lambda a, b: np.allclose(a, b, atol=1e-12)
-
     nc = args.cut_vertices
     pairs = [(u, v) for u in range(nc) for v in range(u + 1, nc)]
     keep = rng.random(len(pairs)) < 0.5
@@ -71,16 +59,7 @@ def main():
     eu = np.ascontiguousarray(edges[:, 0])
     ev = np.ascontiguousarray(edges[:, 1])
 
-    print(f"statevector kernels on {n} qubits ({1 << n} amplitudes), "
-          f"cut kernels on {nc} vertices / {eu.size} edges")
-    _report("apply_1q", _accel.apply_1q_numpy, _accel.apply_1q_numba,
-            lambda: (state.copy(), complex(h), complex(h), complex(h),
-                     complex(-h), n // 2),
-            close, args.repeats)
-    _report("apply_cz", _accel.apply_cz_numpy, _accel.apply_cz_numba,
-            lambda: (state.copy(), 1, n - 2), close, args.repeats)
-    _report("apply_phase", _accel.apply_phase_numpy, _accel.apply_phase_numba,
-            lambda: (state.copy(), diag, 0.37), close, args.repeats)
+    print(f"cut kernels on {nc} vertices / {eu.size} edges")
     _report("cut_values", _accel.cut_values_numpy, _accel.cut_values_numba,
             lambda: (nc, eu, ev),
             lambda a, b: bool(np.array_equal(a, b)), args.repeats)

@@ -1,11 +1,12 @@
-"""Hot numeric kernels, with numba acceleration and a pure numpy fallback.
+"""Cut-table kernels, with numba acceleration and a pure numpy fallback.
 
 The jitted path is used when numba imports cleanly unless the environment
 variable RRBANDIT_NO_NUMBA is set to a non-empty value. Both variants stay
-importable so they can be compared directly (see benchmarks/bench_kernels.py).
+importable so they can be compared directly (see benchmarks/bench_kernels.py);
+they count integer cuts, so they agree exactly. The statevector gates have
+a single numpy path in qsim/statevector.py.
 
-All statevector kernels mutate their input array in place and return it.
-Basis-state index bit i corresponds to qubit i.
+Bitmask bit i corresponds to vertex i.
 """
 
 import os
@@ -20,67 +21,6 @@ if not os.environ.get("RRBANDIT_NO_NUMBA"):
         HAS_NUMBA = True
     except ImportError:  # pragma: no cover - numba is an install-time choice
         pass
-
-
-# ---------------------------------------------------------------------------
-# single-qubit gate
-# ---------------------------------------------------------------------------
-
-def apply_1q_numpy(state, m00, m01, m10, m11, qubit):
-    n = state.size.bit_length() - 1
-    psi = np.moveaxis(state.reshape((2,) * n), n - 1 - qubit, 0)
-    v0 = psi[0].copy()
-    v1 = psi[1].copy()
-    psi[0] = m00 * v0 + m01 * v1
-    psi[1] = m10 * v0 + m11 * v1
-    return state
-
-
-def _apply_1q_loop(state, m00, m01, m10, m11, qubit):
-    stride = 1 << qubit
-    period = stride << 1
-    for base in range(0, state.shape[0], period):
-        for off in range(base, base + stride):
-            i1 = off + stride
-            a0 = state[off]
-            a1 = state[i1]
-            state[off] = m00 * a0 + m01 * a1
-            state[i1] = m10 * a0 + m11 * a1
-    return state
-
-
-# ---------------------------------------------------------------------------
-# controlled-Z
-# ---------------------------------------------------------------------------
-
-def apply_cz_numpy(state, q1, q2):
-    idx = np.arange(state.shape[0])
-    mask = (((idx >> q1) & 1) & ((idx >> q2) & 1)).astype(bool)
-    state[mask] *= -1.0
-    return state
-
-
-def _apply_cz_loop(state, q1, q2):
-    for i in range(state.shape[0]):
-        if (i >> q1) & 1 and (i >> q2) & 1:
-            state[i] = -state[i]
-    return state
-
-
-# ---------------------------------------------------------------------------
-# diagonal phase exp(-i * angle * values[z])
-# ---------------------------------------------------------------------------
-
-def apply_phase_numpy(state, values, angle):
-    state *= np.exp(-1j * angle * values)
-    return state
-
-
-def _apply_phase_loop(state, values, angle):
-    for i in range(state.shape[0]):
-        a = angle * values[i]
-        state[i] = state[i] * complex(np.cos(a), -np.sin(a))
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -136,26 +76,14 @@ def _maxcut_loop(n, edges_u, edges_v):
 
 
 if HAS_NUMBA:
-    apply_1q_numba = njit(cache=True)(_apply_1q_loop)
-    apply_cz_numba = njit(cache=True)(_apply_cz_loop)
-    apply_phase_numba = njit(cache=True)(_apply_phase_loop)
     cut_values_numba = njit(cache=True)(_cut_values_loop)
     maxcut_numba = njit(cache=True)(_maxcut_loop)
 
-    apply_1q = apply_1q_numba
-    apply_cz = apply_cz_numba
-    apply_phase = apply_phase_numba
     cut_values = cut_values_numba
     maxcut = maxcut_numba
 else:
-    apply_1q_numba = None
-    apply_cz_numba = None
-    apply_phase_numba = None
     cut_values_numba = None
     maxcut_numba = None
 
-    apply_1q = apply_1q_numpy
-    apply_cz = apply_cz_numpy
-    apply_phase = apply_phase_numpy
     cut_values = cut_values_numpy
     maxcut = maxcut_numpy

@@ -12,6 +12,13 @@ class Bandit:
     sources. sample_mean(x, n, rng) must be distributed exactly as the
     average of n independent sample(x, rng) pulls; subclasses override it
     with a sufficient-statistic draw where one exists.
+
+    sample_means(points, n, rngs) pulls every point n times, point j from
+    its own stream rngs[j], and returns the averages as a float64 array.
+    It must return exactly what sample_mean(points[j], n, rngs[j]) would,
+    so results do not depend on which points share a call. The default
+    loops over sample_mean; sources that can serve many points at once
+    (the circuit bandits simulate them as one batch) override it.
     """
 
     lipschitz = 1.0
@@ -31,6 +38,11 @@ class Bandit:
         for _ in range(n):
             total += self.sample(x, rng)
         return total / n
+
+    def sample_means(self, points, n, rngs):
+        return np.array([self.sample_mean(x, n, rng)
+                         for x, rng in zip(points, rngs, strict=True)],
+                        dtype=np.float64)
 
 
 class GaussianBandit(Bandit):
@@ -89,3 +101,7 @@ class CountingBandit(Bandit):
     def sample_mean(self, x, n, rng):
         self.count += int(n)
         return self.inner.sample_mean(x, n, rng)
+
+    def sample_means(self, points, n, rngs):
+        self.count += int(n) * len(points)
+        return self.inner.sample_means(points, n, rngs)

@@ -7,8 +7,10 @@
 
 Spec files are INI with [run], [instance] and [optimizer] sections; every
 key can be overridden with --set section.key=value. Shortcut flags cover
-the common [run] keys. Exit code 0 on success, 2 on configuration or
-parse errors.
+the common [run] keys. Exit code 0 on success, 2 on configuration,
+parse or file errors. Every optimizer and instance setting is checked
+before its value is used, so any other exception is a program error: it
+propagates with its traceback and a non-zero exit code.
 """
 
 import argparse
@@ -85,10 +87,7 @@ def main(argv=None):
         else:
             res = run_bounds(spec)
             print(f"wrote {res['bounds']}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -25,6 +25,21 @@ class ConfigError(ValueError):
     """Raised for malformed spec files or override strings."""
 
 
+def checked(section, build, *args):
+    """build(*args), reporting a ValueError it raises as a ConfigError.
+
+    The runners pass every constructor that validates values from the
+    spec's [section] through here, so a ValueError raised anywhere else in
+    a run is a program error rather than a bad spec.
+    """
+    try:
+        return build(*args)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
 def expand_seeds(text: str) -> list[int]:
     """Expand a seed expression into a sorted list of distinct seeds.
 

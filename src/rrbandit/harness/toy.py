@@ -18,7 +18,7 @@ from .. import rr
 from ..baselines import SpsaConfig, spsa
 from ..bandits import GaussianBandit
 from ..rng import SeededRng
-from .config import ConfigError
+from .config import ConfigError, checked
 from .output import write_csv
 
 N_CELLS = 20
@@ -80,11 +80,26 @@ def make_toy_bandit(sigma=1.0):
     return GaussianBandit(toy_objective, lipschitz=WEDGE_SLOPE, sigma=sigma)
 
 
-def _run_rr(spec, seed, bandit, budget):
-    cfg = rr.RRConfig(
+def _rr_config(spec):
+    return rr.RRConfig(
         epsilon=spec.get_float("optimizer", "epsilon", 2.0 ** -7),
         delta=spec.get_float("optimizer", "delta", 0.1),
         lipschitz=spec.get_float("optimizer", "lipschitz", WEDGE_SLOPE))
+
+
+def _spsa_config(spec, budget):
+    return SpsaConfig(
+        max_iters=spec.get_int("optimizer", "max_iters", 200),
+        shots_per_eval=spec.get_int("optimizer", "shots_per_eval", 100_000),
+        a=(None if spec.get("optimizer", "a") is None
+           else spec.get_float("optimizer", "a")),
+        c=spec.get_float("optimizer", "c", 0.1),
+        alpha=spec.get_float("optimizer", "alpha", 0.602),
+        gamma=spec.get_float("optimizer", "gamma", 0.101),
+        budget=budget)
+
+
+def _run_rr(cfg, budget, bandit, seed):
     rng = SeededRng(seed).child(2)
     x_hat, state = rr.run(bandit, cfg, rng, budget=budget)
     x_star = smooth_minimizer()
@@ -99,18 +114,7 @@ def _run_rr(spec, seed, bandit, budget):
     return x_hat, state.total_samples, status, trace
 
 
-def _run_spsa(spec, seed, bandit, budget):
-    shots = spec.get_int("optimizer", "shots_per_eval", 100_000)
-    cfg = SpsaConfig(
-        max_iters=spec.get_int("optimizer", "max_iters", 200),
-        shots_per_eval=shots,
-        a=(None if spec.get("optimizer", "a") is None
-           else spec.get_float("optimizer", "a")),
-        c=spec.get_float("optimizer", "c", 0.1),
-        alpha=spec.get_float("optimizer", "alpha", 0.602),
-        gamma=spec.get_float("optimizer", "gamma", 0.101),
-        budget=budget)
-    start = np.array([spec.get_float("optimizer", "start", 0.5)])
+def _run_spsa(cfg, start, bandit, seed):
     rng = SeededRng(seed).child(2)
     points = []
 
@@ -142,11 +146,17 @@ def run_toy(spec):
     out_dir = spec.get_str("run", "out", os.path.join("results", "toy"))
 
     x_star = smooth_minimizer()
-    bandit = make_toy_bandit(sigma)
+    bandit = checked("instance", make_toy_bandit, sigma)
+    if optimizer == "rr":
+        runner = functools.partial(
+            _run_rr, checked("optimizer", _rr_config, spec), budget, bandit)
+    else:
+        runner = functools.partial(
+            _run_spsa, checked("optimizer", _spsa_config, spec, budget),
+            np.array([spec.get_float("optimizer", "start", 0.5)]), bandit)
     run_rows, trace_rows = [], []
     for seed in seeds:
-        runner = _run_rr if optimizer == "rr" else _run_spsa
-        x_hat, samples, status, trace = runner(spec, seed, bandit, budget)
+        x_hat, samples, status, trace = runner(seed)
         run_rows.append({
             "experiment": "toy", "optimizer": optimizer, "seed": seed,
             "x_hat": float(x_hat) if x_hat is not None else math.inf,

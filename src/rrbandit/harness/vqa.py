@@ -21,7 +21,7 @@ from ..baselines import (PowellBrentConfig, SpsaConfig, powell_brent, spsa)
 from ..lines import DriverConfig, powell_driver, random_direction_driver
 from ..qsim import MAX_QUBITS, PqcBandit, QaoaBandit, erdos_renyi
 from ..rng import SeededRng
-from .config import ConfigError
+from .config import ConfigError, checked
 from .output import write_csv
 
 VQA_EXPERIMENTS = ("pqc", "qaoa")
@@ -43,19 +43,19 @@ def build_instance(experiment, size, spec, rng):
             raise ConfigError(f"pqc size {size} outside 1..{MAX_QUBITS}")
         raw_layers = spec.get("instance", "layers")
         layers = None if raw_layers is None else spec.get_int("instance", "layers")
-        bandit = PqcBandit(size, layers,
-                           lipschitz=spec.get_float("instance", "lipschitz", 0.5))
+        bandit = checked("instance", PqcBandit, size, layers,
+                         spec.get_float("instance", "lipschitz", 0.5))
         return bandit, f"pqc-n{size}-l{bandit.layers}"
     if experiment == "qaoa":
         if not 2 <= size <= MAX_QUBITS:
             raise ConfigError(f"qaoa size {size} outside 2..{MAX_QUBITS}")
         edge_prob = spec.get_float("instance", "edge_prob", 0.5)
-        graph = erdos_renyi(size, rng, edge_prob)
+        graph = checked("instance", erdos_renyi, size, rng, edge_prob)
         while graph.m == 0:  # an edgeless draw has no cut to score
             graph = erdos_renyi(size, rng, edge_prob)
-        bandit = QaoaBandit(graph,
-                            layers=spec.get_int("instance", "layers", 2),
-                            lipschitz=spec.get_float("instance", "lipschitz", 0.5))
+        bandit = checked("instance", QaoaBandit, graph,
+                         spec.get_int("instance", "layers", 2),
+                         spec.get_float("instance", "lipschitz", 0.5))
         return bandit, f"qaoa-n{size}-m{graph.m}"
     raise ConfigError(f"unknown experiment {experiment!r}")
 
@@ -100,17 +100,34 @@ def _powell_brent_config(spec, budget):
         budget=budget)
 
 
-def run_single(experiment, optimizer, size, seed, threshold, budget, spec):
+def optimizer_config(spec, optimizer, budget):
+    """The optimizer's config object, built from [optimizer] and the budget.
+
+    run_vqa builds it once, before any job runs, so a rejected value is a
+    ConfigError up front.
+    """
+    if optimizer == "spsa":
+        return checked("optimizer", _spsa_config, spec, budget)
+    if optimizer == "powell_brent":
+        return checked("optimizer", _powell_brent_config, spec, budget)
+    if optimizer in ("rr_powell", "rr_reject", "rr_aim"):
+        return checked("optimizer", _driver_config, spec, optimizer, budget)
+    raise ConfigError(f"unknown optimizer {optimizer!r}")
+
+
+def run_single(experiment, optimizer, size, seed, threshold, config, spec):
     """One seeded run; returns the runs.csv row as a dict.
 
-    Reproducibility comes from the (seed, size) derived stream: child 0
-    builds the instance, child 1 draws the start point, child 2 feeds the
-    optimizer. The bandit is wrapped in a pull counter so the reported
-    sample count is the bandit-interface truth rather than optimizer
-    bookkeeping.
+    config is optimizer_config(spec, optimizer, budget). Reproducibility
+    comes from the (seed, size) derived stream: child 0 builds the
+    instance, child 1 draws the start point, child 2 feeds the optimizer.
+    The bandit is wrapped in a pull counter so the reported sample count
+    is the bandit-interface truth rather than optimizer bookkeeping.
     """
     run_rng = SeededRng(seed, key=(size,))
     bandit, label = build_instance(experiment, size, spec, run_rng.child(0))
+    if optimizer == "rr_powell" and bandit.dimension < 2:
+        raise ConfigError(f"rr_powell needs at least 2 parameters, {label} has 1")
     counting = CountingBandit(bandit)
     start = run_rng.child(1).random(bandit.dimension)
     oracle = {"evals": 0}
@@ -125,22 +142,14 @@ def run_single(experiment, optimizer, size, seed, threshold, budget, spec):
     else:
         opt_rng = run_rng.child(2)
         if optimizer == "rr_powell":
-            res = powell_driver(counting, start,
-                                _driver_config(spec, optimizer, budget),
-                                opt_rng, stop_condition=crossed)
+            driver = powell_driver
         elif optimizer in ("rr_reject", "rr_aim"):
-            res = random_direction_driver(counting, start,
-                                          _driver_config(spec, optimizer, budget),
-                                          opt_rng, stop_condition=crossed)
+            driver = random_direction_driver
         elif optimizer == "spsa":
-            res = spsa(counting, start, _spsa_config(spec, budget),
-                       opt_rng, stop_condition=crossed)
-        elif optimizer == "powell_brent":
-            res = powell_brent(counting, start,
-                               _powell_brent_config(spec, budget),
-                               opt_rng, stop_condition=crossed)
+            driver = spsa
         else:
-            raise ConfigError(f"unknown optimizer {optimizer!r}")
+            driver = powell_brent
+        res = driver(counting, start, config, opt_rng, stop_condition=crossed)
         point = res.point
         did_cross = res.stopped_early
 
@@ -221,7 +230,8 @@ def run_vqa(experiment, spec):
     seeds = spec.seeds()
     out_dir = spec.get_str("run", "out", os.path.join("results", experiment))
 
-    jobs = [(experiment, optimizer, size, seed, threshold, budget, spec)
+    config = optimizer_config(spec, optimizer, budget)
+    jobs = [(experiment, optimizer, size, seed, threshold, config, spec)
             for size, seed in itertools.product(sizes, seeds)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

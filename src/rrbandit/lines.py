@@ -64,6 +64,10 @@ class SliceBandit(Bandit):
     def sample_mean(self, s, n, rng):
         return self.parent.sample_mean(self.slice.point(s), n, rng)
 
+    def sample_means(self, points, n, rngs):
+        return self.parent.sample_means(
+            [self.slice.point(s) for s in points], n, rngs)
+
 
 @dataclass(frozen=True)
 class DriverConfig:

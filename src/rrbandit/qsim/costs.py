@@ -15,7 +15,8 @@ import numpy as np
 from ..bandits import Bandit
 from .graphs import cut_values, maxcut_bruteforce
 from .statevector import (ShotSampler, apply_cz, apply_hadamard, apply_phase,
-                          apply_rotation, probabilities, zero_state)
+                          apply_rotation, batch_size, probabilities,
+                          zero_state)
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,44 +38,59 @@ def expected_reward(probs, rewards):
 
 
 class _ShotBandit(Bandit):
-    """Shared shot plumbing: subclasses provide state(params) and rewards."""
+    """Shared shot plumbing: subclasses provide state(params) and rewards.
+
+    state(params) takes one point of shape (dimension,) and returns its
+    statevector, or a batch of points of shape (k, dimension) and returns
+    their (k, 2^n) states.
+    """
 
     rewards = None  # float64 array over basis states
 
     def state(self, params):
         raise NotImplementedError
 
-    def _params(self, params):
+    def _params(self, params, shape):
         params = np.asarray(params, dtype=np.float64)
-        if params.shape != (self.dimension,):
+        if params.shape != shape:
             raise ValueError(
-                f"expected {self.dimension} parameters, got shape {params.shape}")
+                f"expected parameters of shape {shape}, got {params.shape}")
         if not np.all(np.isfinite(params)):
             raise ValueError("parameters must be finite")
         return params
 
     def mean(self, params):
-        probs = probabilities(self.state(self._params(params)))
+        probs = probabilities(self.state(self._params(params, (self.dimension,))))
         return expected_reward(probs, self.rewards)
 
     def sample(self, params, rng):
-        probs = probabilities(self.state(self._params(params)))
+        probs = probabilities(self.state(self._params(params, (self.dimension,))))
         idx = ShotSampler(probs).sample(rng, 1)[0]
         return float(self.rewards[idx])
 
     def sample_mean(self, params, n, rng):
-        """Average reward of n shots at one point.
+        return float(self.sample_means([params], n, [rng])[0])
 
-        The outcome histogram is drawn as one multinomial over the cached
-        probability vector, which has exactly the distribution of n
-        individual shots.
+    def sample_means(self, points, n, rngs):
+        """Average reward of n shots at each point, point j drawing from rngs[j].
+
+        The states of up to batch_size(self.rewards.size) points are
+        simulated as one batch. Each point's outcome histogram is one
+        multinomial over its own probability vector, which has exactly the
+        distribution of n individual shots.
         """
         n = int(n)
         if n < 1:
             raise ValueError("need at least one shot")
-        probs = probabilities(self.state(self._params(params)))
-        counts = rng.multinomial(n, probs / probs.sum())
-        return float(counts @ self.rewards) / n
+        params = self._params(points, (len(rngs), self.dimension))
+        out = np.empty(len(rngs), dtype=np.float64)
+        chunk = batch_size(self.rewards.size)
+        for lo in range(0, len(rngs), chunk):
+            states = self.state(params[lo:lo + chunk])
+            for j, probs in enumerate(probabilities(states), start=lo):
+                counts = rngs[j].multinomial(n, probs / probs.sum())
+                out[j] = float(counts @ self.rewards) / n
+        return out
 
 
 class PqcBandit(_ShotBandit):
@@ -97,12 +113,12 @@ class PqcBandit(_ShotBandit):
         self.rewards = 1.0 - zeros_fractions(self.n)
 
     def state(self, params):
-        state = zero_state(self.n)
+        state = zero_state(self.n, params.shape[:-1])
         angles = TWO_PI * params
         k = 0
         for _ in range(self.layers):
             for q in range(self.n):
-                apply_rotation(state, q, "y", angles[k])
+                apply_rotation(state, q, "y", angles[..., k])
                 k += 1
             for q in range(self.n - 1):
                 apply_cz(state, q, q + 1)
@@ -133,14 +149,14 @@ class QaoaBandit(_ShotBandit):
 
     def state(self, params):
         p = self.layers
-        gammas = TWO_PI * params[:p]
-        betas = TWO_PI * params[p:]
-        state = zero_state(self.graph.n)
+        gammas = TWO_PI * params[..., :p]
+        betas = TWO_PI * params[..., p:]
+        state = zero_state(self.graph.n, params.shape[:-1])
         for q in range(self.graph.n):
             apply_hadamard(state, q)
         for layer in range(p):
-            apply_phase(state, self.cuts, gammas[layer])
+            apply_phase(state, self.cuts, gammas[..., layer])
             for q in range(self.graph.n):
                 # exp(-i beta X) is an x-rotation by 2*beta
-                apply_rotation(state, q, "x", 2.0 * betas[layer])
+                apply_rotation(state, q, "x", 2.0 * betas[..., layer])
         return state

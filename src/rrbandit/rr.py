@@ -137,8 +137,9 @@ def active_mask(surviving, points):
 def run_round(state, bandit, cfg, rng, budget=None):
     """Execute round state.round + 1 and return the successor state.
 
-    Every surviving grid arm k is sampled from the child stream
-    rng.child(t, k), so results do not depend on sampling order. If the
+    The surviving grid arms are pulled in one sample_means call, arm k
+    from the child stream rng.child(t, k), so results do not depend on
+    sampling order or on how the bandit batches the arms. If the
     round's total pull count would exceed the remaining budget, the state
     is returned unchanged except for the budget_exhausted flag.
     """
@@ -155,10 +156,8 @@ def run_round(state, bandit, cfg, rng, budget=None):
         return replace(state, budget_exhausted=True)
 
     locations = points[idx]
-    values = np.empty(idx.size, dtype=np.float64)
-    for j in range(idx.size):
-        values[j] = bandit.sample_mean(
-            float(locations[j]), n_t, rng.child(t, int(idx[j])))
+    values = bandit.sample_means(
+        locations.tolist(), n_t, [rng.child(t, int(i)) for i in idx])
 
     best_j = int(np.argmin(values))  # ties resolve to the smallest location
     best = ArmEstimate(t, float(locations[best_j]), float(values[best_j]), n_t)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rrbandit.bandits import Bandit, CountingBandit, GaussianBandit
+from rrbandit.lines import LinearSlice, SliceBandit
 from rrbandit.rng import SeededRng
 
 
@@ -87,3 +88,42 @@ def test_counting_bandit_passes_values_through():
     c = CountingBandit(inner)
     assert c.sample_mean(0.0, 5, SeededRng(0)) == 2.0
     assert c.mean(0.0) == 2.0
+
+
+def test_base_sample_means_loops_sample_mean():
+    b = GaussianBandit(lambda x: 3.0 * x, sigma=1.0)
+    points = [0.1, 0.5, 0.9]
+    got = b.sample_means(points, 7, [SeededRng(5).child(j) for j in range(3)])
+    expect = [b.sample_mean(x, 7, SeededRng(5).child(j))
+              for j, x in enumerate(points)]
+    assert got.dtype == np.float64
+    assert got.tolist() == expect
+    with pytest.raises(ValueError):  # one stream per point
+        b.sample_means(points, 7, [SeededRng(5)])
+
+
+def test_counting_bandit_ledgers_batched_pulls():
+    c = CountingBandit(GaussianBandit(lambda x: 0.0, sigma=0.0))
+    c.sample_means([0.1, 0.2, 0.3, 0.4], 17, [SeededRng(j) for j in range(4)])
+    assert c.count == 4 * 17
+
+
+class _Recorder(Bandit):
+    dimension = 2
+
+    def __init__(self):
+        self.points = []
+
+    def sample_means(self, points, n, rngs):
+        self.points.extend(np.asarray(p).tolist() for p in points)
+        return np.zeros(len(points))
+
+
+def test_slice_bandit_maps_points_and_forwards_them():
+    parent = _Recorder()
+    sl = LinearSlice((0.5, 0.25), (1.0, 0.5), "periodic")
+    line = SliceBandit(parent, sl, lipschitz=1.0)
+    out = line.sample_means([0.0, 0.25, 0.75], 3,
+                            [SeededRng(j) for j in range(3)])
+    assert out.tolist() == [0.0, 0.0, 0.0]
+    assert parent.points == [sl.point(s).tolist() for s in (0.0, 0.25, 0.75)]

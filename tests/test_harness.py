@@ -15,7 +15,8 @@ from rrbandit.harness.config import expand_ints, expand_seeds
 from rrbandit.harness.output import fmt_value, write_csv
 from rrbandit.harness.toy import (smooth_minimizer, smooth_profile,
                                   staircase, staircase_cell, toy_objective)
-from rrbandit.harness.vqa import midpoint_quantile
+from rrbandit.harness import vqa
+from rrbandit.harness.vqa import midpoint_quantile, optimizer_config
 from rrbandit.rng import SeededRng
 
 
@@ -228,7 +229,8 @@ def test_build_instance_labels():
 
 def test_run_single_crosses_immediately_with_loose_threshold():
     spec = RunSpec()
-    row = run_single("qaoa", "rr_reject", 3, 0, 0.99, 10_000, spec)
+    config = optimizer_config(spec, "rr_reject", 10_000)
+    row = run_single("qaoa", "rr_reject", 3, 0, 0.99, config, spec)
     assert row["status"] == "crossed"
     assert row["n_total"] == 0
     assert row["samples_spent"] == 0
@@ -238,7 +240,8 @@ def test_run_single_crosses_immediately_with_loose_threshold():
 
 def test_run_single_censors_on_tiny_budget():
     spec = RunSpec()
-    row = run_single("qaoa", "rr_reject", 3, 0, 1e-9, 5_000, spec)
+    config = optimizer_config(spec, "rr_reject", 5_000)
+    row = run_single("qaoa", "rr_reject", 3, 0, 1e-9, config, spec)
     assert row["status"] == "censored"
     assert row["n_total"] == math.inf
     assert row["samples_spent"] <= 5_000
@@ -249,13 +252,14 @@ def test_run_single_budget_integrity():
     stays within budget; the crossing oracle is ledgered separately."""
     spec = RunSpec()
     budget = 150_000
-    row = run_single("qaoa", "rr_reject", 3, 1, 0.05, budget, spec)
+    config = optimizer_config(spec, "rr_reject", budget)
+    row = run_single("qaoa", "rr_reject", 3, 1, 0.05, config, spec)
     assert row["samples_spent"] <= budget
     assert row["oracle_evals"] >= 1
     if row["status"] == "crossed":
         assert row["n_total"] == row["samples_spent"]
         assert row["final_cost"] <= 0.05
-    again = run_single("qaoa", "rr_reject", 3, 1, 0.05, budget, spec)
+    again = run_single("qaoa", "rr_reject", 3, 1, 0.05, config, spec)
     assert again == row
 
 
@@ -352,6 +356,36 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert main(["qaoa", "--budget", "lots",
                  "--out", str(tmp_path / "y")]) == 2
     assert main(["toy", str(tmp_path / "no-such-spec.ini")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["qaoa", "--set", "optimizer.epsilon_line=0.3"],
+    ["pqc", "--optimizer", "spsa", "--set", "optimizer.c=0"],
+    ["qaoa", "--optimizer", "powell_brent", "--set", "optimizer.max_iters=0"],
+    ["qaoa", "--set", "instance.layers=0"],
+    ["pqc", "--sizes", "1"],  # rr_powell on a one-parameter circuit
+    ["toy", "--set", "optimizer.delta=-1"],
+    ["toy", "--optimizer", "spsa", "--set", "optimizer.shots_per_eval=0"],
+    ["toy", "--set", "instance.sigma=-1"],
+])
+def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
+    """A value an optimizer config or an instance rejects exits 2 as a
+    configuration error, and no output is written."""
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--out", str(out_dir)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_program_errors_propagate(tmp_path, monkeypatch):
+    """A ValueError raised inside a run is a program error, not exit 2."""
+
+    def broken(*job):
+        raise ValueError("bug inside a run")
+
+    monkeypatch.setattr(vqa, "run_single", broken)
+    with pytest.raises(ValueError, match="bug inside a run"):
+        main(["qaoa", "--sizes", "3", "--out", str(tmp_path / "q")])
 
 
 def test_cli_spec_file_with_overrides(tmp_path, capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rrbandit import _accel
+from rrbandit.bandits import CountingBandit
 from rrbandit.qsim import (Graph, MAX_QUBITS, PqcBandit, QaoaBandit,
                            ShotSampler, apply_cz, apply_hadamard,
                            apply_phase, apply_rotation, complete_graph,
@@ -19,12 +20,17 @@ from rrbandit.qsim import (Graph, MAX_QUBITS, PqcBandit, QaoaBandit,
                            probabilities, read_graph, write_graph,
                            zero_state, zeros_fractions)
 from rrbandit.qsim.costs import TWO_PI
+from rrbandit.qsim.statevector import batch_size
 from rrbandit.rng import SeededRng
 
 
 def random_state(n, rng):
     v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return (v / np.linalg.norm(v)).astype(np.complex128)
+
+
+def random_batch(n, k, rng):
+    return np.stack([random_state(n, rng) for _ in range(k)])
 
 
 def embed_1q(matrix, qubit, n):
@@ -68,6 +74,13 @@ def test_rotation_matches_dense_oracle():
         expect = embed_1q(rotation_matrix(axis, angle), q, n) @ psi
         got = apply_rotation(psi.copy(), q, axis, angle)
         assert np.allclose(got, expect, atol=1e-12)
+        # a (k, 2^n) batch, one angle per state
+        batch = random_batch(n, 3, rng)
+        angles = rng.uniform(-7.0, 7.0, size=3)
+        got = apply_rotation(batch.copy(), q, axis, angles)
+        for j in range(3):
+            expect = embed_1q(rotation_matrix(axis, angles[j]), q, n) @ batch[j]
+            assert np.allclose(got[j], expect, atol=1e-12)
 
 
 def test_hadamard_matches_dense_oracle():
@@ -80,6 +93,9 @@ def test_hadamard_matches_dense_oracle():
         psi = random_state(n, rng)
         assert np.allclose(apply_hadamard(psi.copy(), q),
                            embed_1q(h, q, n) @ psi, atol=1e-12)
+        batch = random_batch(n, 3, rng)
+        assert np.allclose(apply_hadamard(batch.copy(), q),
+                           batch @ embed_1q(h, q, n).T, atol=1e-12)
 
 
 def test_cz_matches_dense_oracle():
@@ -93,6 +109,9 @@ def test_cz_matches_dense_oracle():
         diag = np.where(((idx >> q1) & 1) & ((idx >> q2) & 1), -1.0, 1.0)
         assert np.allclose(apply_cz(psi.copy(), int(q1), int(q2)),
                            diag * psi, atol=1e-12)
+        batch = random_batch(n, 3, rng)
+        assert np.allclose(apply_cz(batch.copy(), int(q1), int(q2)),
+                           diag * batch, atol=1e-12)
 
 
 def test_phase_matches_dense_oracle():
@@ -103,6 +122,14 @@ def test_phase_matches_dense_oracle():
     expect = np.exp(-1j * angle * values) * psi
     assert np.allclose(apply_phase(psi.copy(), values, angle), expect,
                        atol=1e-12)
+    batch = random_batch(3, 4, rng)
+    angles = np.array([1.37, -0.2, 0.0, 5.5])
+    expect = np.exp(-1j * angles[:, None] * values) * batch
+    assert np.allclose(apply_phase(batch.copy(), values, angles), expect,
+                       atol=1e-12)
+    # one angle for the whole batch
+    assert np.allclose(apply_phase(batch.copy(), values, angle),
+                       np.exp(-1j * angle * values) * batch, atol=1e-12)
 
 
 def test_gate_argument_validation():
@@ -115,6 +142,12 @@ def test_gate_argument_validation():
         apply_cz(psi, 1, 1)
     with pytest.raises(ValueError):
         apply_phase(psi, np.zeros(3), 0.1)
+    with pytest.raises(ValueError):  # per-state angles need a batch
+        apply_rotation(psi, 0, "x", np.zeros(2))
+    batch = zero_state(2, (3,))
+    assert batch.shape == (3, 4) and np.all(batch[:, 0] == 1.0)
+    with pytest.raises(ValueError):  # one angle per state
+        apply_phase(batch, np.zeros(4), np.zeros(2))
 
 
 def test_norm_conserved_by_random_gates():
@@ -136,19 +169,7 @@ def test_norm_conserved_by_random_gates():
 
 
 def test_accel_fallback_agrees_with_active_kernels():
-    """The numpy fallback and the active kernel compute the same arrays."""
-    rng = SeededRng(15)
-    psi = random_state(5, rng)
-    m = rotation_matrix("y", 0.83)
-    a = _accel.apply_1q(psi.copy(), m[0, 0], m[0, 1], m[1, 0], m[1, 1], 2)
-    b = _accel.apply_1q_numpy(psi.copy(), m[0, 0], m[0, 1], m[1, 0],
-                              m[1, 1], 2)
-    assert np.allclose(a, b, atol=1e-14)
-    assert np.allclose(_accel.apply_cz(psi.copy(), 0, 3),
-                       _accel.apply_cz_numpy(psi.copy(), 0, 3))
-    vals = rng.standard_normal(32)
-    assert np.allclose(_accel.apply_phase(psi.copy(), vals, 0.4),
-                       _accel.apply_phase_numpy(psi.copy(), vals, 0.4))
+    """The numpy fallback and the active cut kernels give equal tables."""
     g = complete_graph(5)
     eu, ev = g.edge_arrays()
     assert np.array_equal(_accel.cut_values(5, eu, ev),
@@ -182,6 +203,82 @@ def test_shot_sampler_validation():
         ShotSampler(np.array([0.2, 0.2]))  # mass well below 1
     with pytest.raises(ValueError):
         ShotSampler(np.array([]))
+
+
+def circuit_bandit(family, n):
+    if family == "qaoa":
+        return QaoaBandit(erdos_renyi(n, SeededRng(80 + n), 0.6))
+    return PqcBandit(n, layers=2)
+
+
+@pytest.mark.parametrize("family", ["qaoa", "pqc"])
+@pytest.mark.parametrize("n", [3, 8, 14])
+def test_sample_means_match_looped_sample_mean(family, n):
+    """Batching leaves every state and every draw bit-for-bit unchanged.
+
+    k covers a single arm, a line-search round of 16 arms, and a count
+    that leaves a partly filled last batch.
+    """
+    bandit = circuit_bandit(family, n)
+    root = SeededRng(90 + n)
+    for k in (1, 16, batch_size(1 << n) + 5):
+        points = root.child(k).random((k, bandit.dimension))
+        states = bandit.state(points)
+        for j in range(k):
+            assert states[j].tobytes() == bandit.state(points[j]).tobytes()
+        rngs = [root.child(k, j) for j in range(k)]
+        batched = bandit.sample_means(points, 1000, rngs)
+        rngs = [root.child(k, j) for j in range(k)]
+        looped = [bandit.sample_mean(points[j], 1000, rngs[j])
+                  for j in range(k)]
+        assert batched.dtype == np.float64
+        assert batched.tobytes() == np.array(looped).tobytes()
+
+
+def test_sample_means_validation():
+    bandit = QaoaBandit(complete_graph(3))
+    points = np.full((2, bandit.dimension), 0.3)
+    rngs = [SeededRng(0), SeededRng(1)]
+    with pytest.raises(ValueError):
+        bandit.sample_means(points, 0, rngs)
+    with pytest.raises(ValueError):  # one stream per point
+        bandit.sample_means(points, 10, rngs[:1])
+    with pytest.raises(ValueError):
+        bandit.sample_means(points[:, :3], 10, rngs)
+    counting = CountingBandit(bandit)
+    counting.sample_means(points, 10, rngs)
+    assert counting.count == 20
+
+
+@pytest.mark.parametrize("bandit", [
+    QaoaBandit(complete_graph(3)),
+    QaoaBandit(erdos_renyi(6, SeededRng(81), 0.5)),
+    PqcBandit(2),
+    PqcBandit(5, layers=1),
+], ids=["qaoa3", "qaoa6", "pqc2", "pqc5"])
+def test_shot_means_follow_the_born_distribution(bandit):
+    """sample_mean and sample_means against the exact shot distribution.
+
+    One shot's reward has mean mu and variance var under |psi|^2, so the
+    n-shot mean has mean mu and variance var / n. Both estimates over
+    reps replications must sit within 5 sigma of those.
+    """
+    shots, reps = 40, 3000
+    params = SeededRng(82).random(bandit.dimension)
+    probs = probabilities(bandit.state(params))
+    probs = probs / probs.sum()
+    mu = float(probs @ bandit.rewards)
+    var = float(probs @ (bandit.rewards - mu) ** 2) / shots
+    assert var > 0.0
+    root = SeededRng(83)
+    looped = np.array([bandit.sample_mean(params, shots, root.child(0, i))
+                       for i in range(reps)])
+    batched = bandit.sample_means(np.tile(params, (reps, 1)), shots,
+                                  [root.child(1, i) for i in range(reps)])
+    for est in (looped, batched):
+        assert abs(est.mean() - mu) < 5.0 * math.sqrt(var / reps)
+        # sd of a variance estimate is about var * sqrt(2 / reps)
+        assert abs(est.var(ddof=1) - var) < 5.0 * var * math.sqrt(2.0 / reps)
 
 
 # --------------------------------------------------------- objectives
