@@ -9,9 +9,10 @@ class Bandit:
     """Base reward source on [0,1]^d; smaller mean is better.
 
     mean(x) is the exact-mean oracle and may be unavailable for some
-    sources. sample_mean(x, n, rng) must be distributed exactly as the
-    average of n independent sample(x, rng) pulls; subclasses override it
-    with a sufficient-statistic draw where one exists.
+    sources. sample_mean(x, n, rng) returns the average of n independent
+    pulls at x. Every pull of a call shares x, so subclasses draw that
+    average from a sufficient statistic (a Gaussian mean, a shot
+    histogram) rather than pull by pull.
 
     sample_means(points, n, rngs) pulls every point n times, point j from
     its own stream rngs[j], and returns the averages as a float64 array.
@@ -27,17 +28,8 @@ class Bandit:
     def mean(self, x):
         raise NotImplementedError
 
-    def sample(self, x, rng):
-        raise NotImplementedError
-
     def sample_mean(self, x, n, rng):
-        n = int(n)
-        if n < 1:
-            raise ValueError("need at least one pull")
-        total = 0.0
-        for _ in range(n):
-            total += self.sample(x, rng)
-        return total / n
+        raise NotImplementedError
 
     def sample_means(self, points, n, rngs):
         return np.array([self.sample_mean(x, n, rng)
@@ -65,11 +57,6 @@ class GaussianBandit(Bandit):
     def mean(self, x):
         return float(self._mean_fn(x))
 
-    def sample(self, x, rng):
-        if self.sigma == 0.0:
-            return self.mean(x)
-        return self.mean(x) + self.sigma * rng.standard_normal()
-
     def sample_mean(self, x, n, rng):
         n = int(n)
         if n < 1:
@@ -93,10 +80,6 @@ class CountingBandit(Bandit):
 
     def mean(self, x):
         return self.inner.mean(x)
-
-    def sample(self, x, rng):
-        self.count += 1
-        return self.inner.sample(x, rng)
 
     def sample_mean(self, x, n, rng):
         self.count += int(n)

@@ -18,6 +18,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..baselines import SpsaConfig
+
 _SECTIONS = ("run", "instance", "optimizer")
 
 
@@ -38,6 +40,27 @@ def checked(section, build, *args):
         raise
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from None
+
+
+def spsa_config(spec, budget, shots_per_eval, max_iters=None):
+    """SpsaConfig from [optimizer], given the runner's defaults.
+
+    max_iters=None defaults the iteration count to as many +- pairs as
+    the budget pays for, at least one.
+    """
+    shots = spec.get_int("optimizer", "shots_per_eval", shots_per_eval)
+    if max_iters is None:
+        # a non-positive shot count is SpsaConfig's to reject
+        max_iters = max(1, budget // (2 * max(shots, 1)))
+    return SpsaConfig(
+        max_iters=spec.get_int("optimizer", "max_iters", max_iters),
+        shots_per_eval=shots,
+        a=(None if spec.get("optimizer", "a") is None
+           else spec.get_float("optimizer", "a")),
+        c=spec.get_float("optimizer", "c", 0.1),
+        alpha=spec.get_float("optimizer", "alpha", 0.602),
+        gamma=spec.get_float("optimizer", "gamma", 0.101),
+        budget=budget)
 
 
 def expand_seeds(text: str) -> list[int]:

@@ -15,16 +15,14 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .. import rr
-from ..baselines import SpsaConfig, spsa
+from ..baselines import spsa
 from ..bandits import GaussianBandit
 from ..rng import SeededRng
-from .config import ConfigError, checked
+from .config import ConfigError, checked, spsa_config
 from .output import write_csv
 
 N_CELLS = 20
 WEDGE_SLOPE = 2.0
-
-TOY_OPTIMIZERS = ("rr", "spsa")
 
 RUN_HEADER = ["experiment", "optimizer", "seed", "x_hat", "distance",
               "samples_spent", "status"]
@@ -80,23 +78,17 @@ def make_toy_bandit(sigma=1.0):
     return GaussianBandit(toy_objective, lipschitz=WEDGE_SLOPE, sigma=sigma)
 
 
-def _rr_config(spec):
-    return rr.RRConfig(
+def _rr_setup(spec, budget):
+    cfg = rr.RRConfig(
         epsilon=spec.get_float("optimizer", "epsilon", 2.0 ** -7),
         delta=spec.get_float("optimizer", "delta", 0.1),
         lipschitz=spec.get_float("optimizer", "lipschitz", WEDGE_SLOPE))
+    return cfg, budget
 
 
-def _spsa_config(spec, budget):
-    return SpsaConfig(
-        max_iters=spec.get_int("optimizer", "max_iters", 200),
-        shots_per_eval=spec.get_int("optimizer", "shots_per_eval", 100_000),
-        a=(None if spec.get("optimizer", "a") is None
-           else spec.get_float("optimizer", "a")),
-        c=spec.get_float("optimizer", "c", 0.1),
-        alpha=spec.get_float("optimizer", "alpha", 0.602),
-        gamma=spec.get_float("optimizer", "gamma", 0.101),
-        budget=budget)
+def _spsa_setup(spec, budget):
+    cfg = spsa_config(spec, budget, shots_per_eval=100_000, max_iters=200)
+    return cfg, np.array([spec.get_float("optimizer", "start", 0.5)])
 
 
 def _run_rr(cfg, budget, bandit, seed):
@@ -131,15 +123,21 @@ def _run_spsa(cfg, start, bandit, seed):
     return x_hat, res.samples_used, status, trace
 
 
+# name -> (setup, runner): setup(spec, budget) builds the runner's leading
+# arguments, and runner(*those, bandit, seed) runs one seed. The runners
+# call their drivers through this module's globals.
+OPTIMIZERS = {"rr": (_rr_setup, _run_rr), "spsa": (_spsa_setup, _run_spsa)}
+
+
 def run_toy(spec):
     """Run the staircase benchmark for every seed; write runs and trace CSVs.
 
     Returns a dict with the output paths and the per-seed summary rows.
     """
     optimizer = spec.get_str("run", "optimizer", "rr")
-    if optimizer not in TOY_OPTIMIZERS:
-        raise ConfigError(
-            f"run.optimizer must be one of {TOY_OPTIMIZERS}, got {optimizer!r}")
+    if optimizer not in OPTIMIZERS:
+        raise ConfigError(f"run.optimizer must be one of {tuple(OPTIMIZERS)}, "
+                          f"got {optimizer!r}")
     seeds = spec.seeds()
     sigma = spec.get_float("instance", "sigma", 1.0)
     budget = spec.get_int("run", "budget", 0) or None
@@ -147,13 +145,9 @@ def run_toy(spec):
 
     x_star = smooth_minimizer()
     bandit = checked("instance", make_toy_bandit, sigma)
-    if optimizer == "rr":
-        runner = functools.partial(
-            _run_rr, checked("optimizer", _rr_config, spec), budget, bandit)
-    else:
-        runner = functools.partial(
-            _run_spsa, checked("optimizer", _spsa_config, spec, budget),
-            np.array([spec.get_float("optimizer", "start", 0.5)]), bandit)
+    setup, run_seed = OPTIMIZERS[optimizer]
+    runner = functools.partial(
+        run_seed, *checked("optimizer", setup, spec, budget), bandit)
     run_rows, trace_rows = [], []
     for seed in seeds:
         x_hat, samples, status, trace = runner(seed)

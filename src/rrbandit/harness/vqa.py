@@ -9,6 +9,7 @@ from the comparison. Censored runs enter the quantiles as +inf; a size
 whose crossing rate drops below one half is marked failed.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -17,15 +18,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from ..bandits import CountingBandit
-from ..baselines import (PowellBrentConfig, SpsaConfig, powell_brent, spsa)
+from ..baselines import PowellBrentConfig, powell_brent, spsa
 from ..lines import DriverConfig, powell_driver, random_direction_driver
 from ..qsim import MAX_QUBITS, PqcBandit, QaoaBandit, erdos_renyi
 from ..rng import SeededRng
-from .config import ConfigError, checked
+from .config import ConfigError, checked, spsa_config
 from .output import write_csv
 
 VQA_EXPERIMENTS = ("pqc", "qaoa")
-VQA_OPTIMIZERS = ("rr_powell", "rr_reject", "rr_aim", "spsa", "powell_brent")
 DEFAULT_THRESHOLDS = {"pqc": 0.4, "qaoa": 0.2}
 DEFAULT_BUDGET = 10_000_000
 
@@ -50,6 +50,9 @@ def build_instance(experiment, size, spec, rng):
         if not 2 <= size <= MAX_QUBITS:
             raise ConfigError(f"qaoa size {size} outside 2..{MAX_QUBITS}")
         edge_prob = spec.get_float("instance", "edge_prob", 0.5)
+        if not 0.0 < edge_prob <= 1.0:  # at 0 every draw is edgeless
+            raise ConfigError(
+                f"instance.edge_prob must be in (0, 1], got {edge_prob}")
         graph = checked("instance", erdos_renyi, size, rng, edge_prob)
         while graph.m == 0:  # an edgeless draw has no cut to score
             graph = erdos_renyi(size, rng, edge_prob)
@@ -60,8 +63,7 @@ def build_instance(experiment, size, spec, rng):
     raise ConfigError(f"unknown experiment {experiment!r}")
 
 
-def _driver_config(spec, name, budget):
-    acceptance = "aim" if name == "rr_aim" else "reject"
+def _driver_config(acceptance, spec, budget):
     return DriverConfig(
         lipschitz=spec.get_float("optimizer", "lipschitz", 0.5),
         delta=spec.get_float("optimizer", "delta", 20.0),
@@ -78,17 +80,7 @@ def _driver_config(spec, name, budget):
 
 
 def _spsa_config(spec, budget):
-    shots = spec.get_int("optimizer", "shots_per_eval", 10_000)
-    default_iters = budget // (2 * shots) if budget else 200
-    return SpsaConfig(
-        max_iters=spec.get_int("optimizer", "max_iters", max(1, default_iters)),
-        shots_per_eval=shots,
-        a=(None if spec.get("optimizer", "a") is None
-           else spec.get_float("optimizer", "a")),
-        c=spec.get_float("optimizer", "c", 0.1),
-        alpha=spec.get_float("optimizer", "alpha", 0.602),
-        gamma=spec.get_float("optimizer", "gamma", 0.101),
-        budget=budget)
+    return spsa_config(spec, budget, shots_per_eval=10_000)
 
 
 def _powell_brent_config(spec, budget):
@@ -100,19 +92,30 @@ def _powell_brent_config(spec, budget):
         budget=budget)
 
 
+# name -> (config builder, driver). The driver is named, not held, and
+# looked up among this module's globals when a job runs, so a wrapper
+# patched over the global is the one that runs.
+OPTIMIZERS = {
+    "rr_powell": (functools.partial(_driver_config, "reject"), "powell_driver"),
+    "rr_reject": (functools.partial(_driver_config, "reject"),
+                  "random_direction_driver"),
+    "rr_aim": (functools.partial(_driver_config, "aim"),
+               "random_direction_driver"),
+    "spsa": (_spsa_config, "spsa"),
+    "powell_brent": (_powell_brent_config, "powell_brent"),
+}
+
+
 def optimizer_config(spec, optimizer, budget):
     """The optimizer's config object, built from [optimizer] and the budget.
 
     run_vqa builds it once, before any job runs, so a rejected value is a
     ConfigError up front.
     """
-    if optimizer == "spsa":
-        return checked("optimizer", _spsa_config, spec, budget)
-    if optimizer == "powell_brent":
-        return checked("optimizer", _powell_brent_config, spec, budget)
-    if optimizer in ("rr_powell", "rr_reject", "rr_aim"):
-        return checked("optimizer", _driver_config, spec, optimizer, budget)
-    raise ConfigError(f"unknown optimizer {optimizer!r}")
+    if optimizer not in OPTIMIZERS:
+        raise ConfigError(f"run.optimizer must be one of {tuple(OPTIMIZERS)}, "
+                          f"got {optimizer!r}")
+    return checked("optimizer", OPTIMIZERS[optimizer][0], spec, budget)
 
 
 def run_single(experiment, optimizer, size, seed, threshold, config, spec):
@@ -140,16 +143,9 @@ def run_single(experiment, optimizer, size, seed, threshold, config, spec):
         point = start
         did_cross = True
     else:
-        opt_rng = run_rng.child(2)
-        if optimizer == "rr_powell":
-            driver = powell_driver
-        elif optimizer in ("rr_reject", "rr_aim"):
-            driver = random_direction_driver
-        elif optimizer == "spsa":
-            driver = spsa
-        else:
-            driver = powell_brent
-        res = driver(counting, start, config, opt_rng, stop_condition=crossed)
+        driver = globals()[OPTIMIZERS[optimizer][1]]
+        res = driver(counting, start, config, run_rng.child(2),
+                     stop_condition=crossed)
         point = res.point
         did_cross = res.stopped_early
 
@@ -215,9 +211,6 @@ def run_vqa(experiment, spec):
     if experiment not in VQA_EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {VQA_EXPERIMENTS}")
     optimizer = spec.get_str("run", "optimizer", "rr_powell")
-    if optimizer not in VQA_OPTIMIZERS:
-        raise ConfigError(
-            f"run.optimizer must be one of {VQA_OPTIMIZERS}, got {optimizer!r}")
     threshold = spec.get_float("run", "threshold",
                                DEFAULT_THRESHOLDS[experiment])
     if not 0.0 < threshold < 1.0:

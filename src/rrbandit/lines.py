@@ -58,9 +58,6 @@ class SliceBandit(Bandit):
     def mean(self, s):
         return self.parent.mean(self.slice.point(s))
 
-    def sample(self, s, rng):
-        return self.parent.sample(self.slice.point(s), rng)
-
     def sample_mean(self, s, n, rng):
         return self.parent.sample_mean(self.slice.point(s), n, rng)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..bandits import Bandit
 from .graphs import cut_values, maxcut_bruteforce
-from .statevector import (ShotSampler, apply_cz, apply_hadamard, apply_phase,
+from .statevector import (apply_cz, apply_hadamard, apply_phase,
                           apply_rotation, batch_size, probabilities,
                           zero_state)
 
@@ -62,11 +62,6 @@ class _ShotBandit(Bandit):
     def mean(self, params):
         probs = probabilities(self.state(self._params(params, (self.dimension,))))
         return expected_reward(probs, self.rewards)
-
-    def sample(self, params, rng):
-        probs = probabilities(self.state(self._params(params, (self.dimension,))))
-        idx = ShotSampler(probs).sample(rng, 1)[0]
-        return float(self.rewards[idx])
 
     def sample_mean(self, params, n, rng):
         return float(self.sample_means([params], n, [rng])[0])

@@ -134,31 +134,3 @@ def probabilities(state):
 def norm(state):
     return float(np.sqrt(np.real(np.vdot(state, state))))
 
-
-class ShotSampler:
-    """Inverse-CDF bitstring sampler with a cached prefix sum.
-
-    Built once per parameter point; each shot costs one uniform draw and a
-    binary search, so repeated sampling at a fixed point stays cheap.
-    """
-
-    def __init__(self, probs):
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("need a non-empty 1-d probability vector")
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be non-negative")
-        self._cdf = np.cumsum(probs)
-        total = self._cdf[-1]
-        if not 0.0 < total < np.inf:
-            raise ValueError("probabilities must have positive finite mass")
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError("probabilities are not normalized")
-
-    def sample(self, rng, n_shots=1):
-        u = rng.random(int(n_shots)) * self._cdf[-1]
-        idx = np.searchsorted(self._cdf, u, side="right")
-        return np.minimum(idx, self._cdf.size - 1)
-
-    def counts(self, rng, n_shots):
-        return np.bincount(self.sample(rng, n_shots), minlength=self._cdf.size)

@@ -20,9 +20,10 @@ from rrbandit.harness import RunSpec, run_bounds, run_toy, run_vqa
 from rrbandit.harness.vqa import aggregate
 from rrbandit.qsim import (PqcBandit, QaoaBandit, complete_graph, erdos_renyi,
                            maxcut_bruteforce)
-from rrbandit.qsim.statevector import (ShotSampler, apply_cz, apply_hadamard,
-                                       apply_phase, apply_rotation, norm,
-                                       probabilities, zero_state)
+from rrbandit.qsim.costs import _ShotBandit
+from rrbandit.qsim.statevector import (apply_cz, apply_hadamard, apply_phase,
+                                       apply_rotation, norm, probabilities,
+                                       zero_state)
 from rrbandit.rng import SeededRng
 
 EPS_PAC = 2.0 ** -5
@@ -198,6 +199,21 @@ def test_criterion_5_bound_formulas(record_criterion):
     assert grid_ok
 
 
+class _OutcomeIndicator(_ShotBandit):
+    """Fixed state psi whose shot reward is 1 on outcome z and 0 elsewhere,
+    so an n-shot mean is the frequency of z among n shots."""
+
+    dimension = 1
+
+    def __init__(self, psi, z):
+        self.psi = psi
+        self.rewards = np.zeros(psi.size)
+        self.rewards[z] = 1.0
+
+    def state(self, params):
+        return np.broadcast_to(self.psi, params.shape[:-1] + self.psi.shape)
+
+
 def test_criterion_6_simulator_fidelity(record_criterion):
     t0 = time.time()
     # norm conservation over a long random gate stream
@@ -236,7 +252,10 @@ def test_criterion_6_simulator_fidelity(record_criterion):
         for q in range(width - 1):
             psi = apply_cz(psi, q, q + 1)
         probs = probabilities(psi)
-        freqs = ShotSampler(probs).counts(rng.child(width), 1_000_000) / 1e6
+        freqs = np.array([
+            _OutcomeIndicator(psi, z).sample_mean(
+                np.zeros(1), 1_000_000, rng.child(width, z))
+            for z in range(psi.size)])
         slack = 5.0 * np.sqrt(probs * (1.0 - probs) / 1e6) + 1e-6
         born_ok = born_ok and bool(np.all(np.abs(freqs - probs) <= slack))
 

@@ -8,24 +8,6 @@ from rrbandit.lines import LinearSlice, SliceBandit
 from rrbandit.rng import SeededRng
 
 
-class _FixedSequence(Bandit):
-    """Deterministic sample stream to pin down the base-class average."""
-
-    def __init__(self, values):
-        self.values = list(values)
-        self.i = 0
-
-    def sample(self, x, rng):
-        v = self.values[self.i % len(self.values)]
-        self.i += 1
-        return v
-
-
-def test_base_sample_mean_is_plain_average():
-    b = _FixedSequence([1.0, 2.0, 6.0])
-    assert b.sample_mean(0.0, 3, SeededRng(0)) == pytest.approx(3.0)
-
-
 def test_sample_mean_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         GaussianBandit(lambda x: 0.0).sample_mean(0.5, 0, SeededRng(0))
@@ -33,35 +15,24 @@ def test_sample_mean_rejects_nonpositive_n():
 
 def test_gaussian_zero_noise_is_exact_oracle():
     b = GaussianBandit(lambda x: 3.0 * x, lipschitz=3.0, sigma=0.0)
-    rng = SeededRng(1)
-    assert b.sample(0.5, rng) == 1.5
-    assert b.sample_mean(0.5, 1000, rng) == 1.5
+    assert b.sample_mean(0.5, 1000, SeededRng(1)) == 1.5
     assert b.mean(0.25) == 0.75
 
 
 def test_gaussian_sample_mean_matches_averaged_pulls_in_distribution():
-    """One sufficient-statistic draw vs n averaged pulls.
-
-    Both should be N(mu, sigma^2/n); compare first and second moments
-    over many replications at 5 sigma.
-    """
+    """The one-draw n-pull mean is N(mu, sigma^2/n), the distribution of
+    n averaged pulls; first and second moments over many replications
+    are compared at 5 sigma."""
     mu, sigma, n, reps = 0.3, 2.0, 25, 4000
     b = GaussianBandit(lambda x: mu, sigma=sigma)
     root = SeededRng(123)
-    fast = np.array([b.sample_mean(0.0, n, root.child(0, i))
-                     for i in range(reps)])
-    slow = np.empty(reps)
-    for i in range(reps):
-        rng = root.child(1, i)
-        slow[i] = np.mean([b.sample(0.0, rng) for _ in range(n)])
-    se_mean = sigma / np.sqrt(n * reps)
-    assert abs(fast.mean() - mu) < 5 * se_mean
-    assert abs(slow.mean() - mu) < 5 * se_mean
+    means = np.array([b.sample_mean(0.0, n, root.child(0, i))
+                      for i in range(reps)])
+    assert abs(means.mean() - mu) < 5 * sigma / np.sqrt(n * reps)
     target_var = sigma ** 2 / n
     # sd of a variance estimate is roughly var * sqrt(2/reps)
     var_tol = 5 * target_var * np.sqrt(2.0 / reps)
-    assert abs(fast.var(ddof=1) - target_var) < var_tol
-    assert abs(slow.var(ddof=1) - target_var) < var_tol
+    assert abs(means.var(ddof=1) - target_var) < var_tol
 
 
 def test_gaussian_rejects_negative_sigma():
@@ -72,13 +43,10 @@ def test_gaussian_rejects_negative_sigma():
 def test_counting_bandit_ledgers_every_pull():
     inner = GaussianBandit(lambda x: float(x), lipschitz=1.0, sigma=1.0)
     c = CountingBandit(inner)
-    rng = SeededRng(0)
-    c.sample(0.1, rng.child(0))
-    assert c.count == 1
-    c.sample_mean(0.2, 17, rng.child(1))
-    assert c.count == 18
+    c.sample_mean(0.2, 17, SeededRng(0))
+    assert c.count == 17
     c.mean(0.3)  # oracle call, not a pull
-    assert c.count == 18
+    assert c.count == 17
     assert c.lipschitz == inner.lipschitz
     assert c.dimension == inner.dimension
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rrbandit import bounds
+from rrbandit.baselines import spsa
 from rrbandit.harness import (ConfigError, RunSpec, aggregate, build_instance,
                               load_spec, parse_overrides, run_bounds,
                               run_single, run_toy, run_vqa)
@@ -367,6 +368,8 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     ["toy", "--set", "optimizer.delta=-1"],
     ["toy", "--optimizer", "spsa", "--set", "optimizer.shots_per_eval=0"],
     ["toy", "--set", "instance.sigma=-1"],
+    ["qaoa", "--sizes", "4", "--seeds", "0", "--set", "instance.edge_prob=0"],
+    ["qaoa", "--optimizer", "spsa", "--set", "optimizer.shots_per_eval=0"],
 ])
 def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
     """A value an optimizer config or an instance rejects exits 2 as a
@@ -386,6 +389,21 @@ def test_cli_program_errors_propagate(tmp_path, monkeypatch):
     monkeypatch.setattr(vqa, "run_single", broken)
     with pytest.raises(ValueError, match="bug inside a run"):
         main(["qaoa", "--sizes", "3", "--out", str(tmp_path / "q")])
+
+
+def test_run_single_looks_the_driver_up_when_the_job_runs(monkeypatch):
+    """A driver patched over the module global is the one a job runs."""
+    called = []
+
+    def recording_spsa(*args, **kwargs):
+        called.append(True)
+        return spsa(*args, **kwargs)
+
+    spec = RunSpec()
+    config = optimizer_config(spec, "spsa", 40_000)
+    monkeypatch.setattr(vqa, "spsa", recording_spsa)
+    run_single("qaoa", "spsa", 3, 0, 1e-9, config, spec)
+    assert called
 
 
 def test_cli_spec_file_with_overrides(tmp_path, capsys):

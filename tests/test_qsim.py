@@ -10,11 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from rrbandit import _accel
 from rrbandit.bandits import CountingBandit
 from rrbandit.qsim import (Graph, MAX_QUBITS, PqcBandit, QaoaBandit,
-                           ShotSampler, apply_cz, apply_hadamard,
-                           apply_phase, apply_rotation, complete_graph,
+                           apply_cz, apply_hadamard, apply_phase,
+                           apply_rotation, complete_graph,
                            cut_values, erdos_renyi, expected_reward,
                            maxcut_bruteforce, norm, num_qubits, path_graph,
                            probabilities, read_graph, write_graph,
@@ -168,42 +167,23 @@ def test_norm_conserved_by_random_gates():
     assert probabilities(psi).sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_accel_fallback_agrees_with_active_kernels():
-    """The numpy fallback and the active cut kernels give equal tables."""
-    g = complete_graph(5)
-    eu, ev = g.edge_arrays()
-    assert np.array_equal(_accel.cut_values(5, eu, ev),
-                          _accel.cut_values_numpy(5, eu, ev))
-    assert _accel.maxcut(5, eu, ev) == _accel.maxcut_numpy(5, eu, ev)
+def test_cut_values_match_independent_enumeration():
+    """Cut tables and maxima against a per-edge count over every mask;
+    the n = 17 and 18 graphs span more than one 2^16-mask chunk."""
+    gen = SeededRng(51)
+    for i, n in enumerate([2, 3, 5, 7, 9, 17, 18]):
+        g = erdos_renyi(n, gen.child(i), 0.5 if n < 10 else 0.1)
+        if g.m == 0:
+            g = path_graph(n)
+        masks = np.arange(1 << n, dtype=np.int64)
+        expect = np.zeros(masks.size, dtype=np.int64)
+        for u, v in g.edges:
+            expect += ((masks >> u) & 1) != ((masks >> v) & 1)
+        assert np.array_equal(cut_values(g), expect)
+        assert maxcut_bruteforce(g) == int(expect.max())
 
 
 # ---------------------------------------------------------- sampling
-
-def test_shot_sampler_counts_sum():
-    sampler = ShotSampler(np.array([0.1, 0.2, 0.3, 0.4]))
-    counts = sampler.counts(SeededRng(0), 1000)
-    assert counts.sum() == 1000
-    assert counts.shape == (4,)
-
-
-def test_shot_sampler_frequencies_follow_probabilities():
-    rng = SeededRng(21)
-    psi = random_state(4, rng)
-    probs = probabilities(psi)
-    n = 200_000
-    counts = ShotSampler(probs).counts(rng.child(0), n)
-    bound = 5.0 * np.sqrt(np.maximum(probs * (1 - probs), 1e-12) * n)
-    assert np.all(np.abs(counts - probs * n) <= bound + 1.0)
-
-
-def test_shot_sampler_validation():
-    with pytest.raises(ValueError):
-        ShotSampler(np.array([0.5, -0.1, 0.6]))
-    with pytest.raises(ValueError):
-        ShotSampler(np.array([0.2, 0.2]))  # mass well below 1
-    with pytest.raises(ValueError):
-        ShotSampler(np.array([]))
-
 
 def circuit_bandit(family, n):
     if family == "qaoa":
@@ -375,8 +355,6 @@ def test_shot_mean_converges_to_exact_mean():
     est = bandit.sample_mean(params, n, SeededRng(8))
     # rewards live in [0,1], so the n-shot mean has sd at most 1/(2 sqrt(n))
     assert abs(est - exact) <= 5.0 / (2.0 * math.sqrt(n))
-    one = bandit.sample(params, SeededRng(9))
-    assert one in set(np.round(bandit.rewards, 12))
     with pytest.raises(ValueError):
         bandit.sample_mean(params, 0, SeededRng(0))
 
