@@ -8,6 +8,11 @@ Run specs are INI files with three sections:
 
 Every value is a plain string in the file; typed access goes through
 RunSpec.get_* helpers so that error messages name the offending key.
+The runners read [instance] and [optimizer] through RunSpec.fields, which
+names every key a runner reads and refuses any other, so a misspelt key
+is an error and not a silent default. A key left unset is not passed on:
+the config or bandit constructor's own default applies, apart from the few
+runner defaults each runner states. [run] keys are not checked.
 Command-line overrides use the dotted form  section.key=value.
 """
 
@@ -27,40 +32,39 @@ class ConfigError(ValueError):
     """Raised for malformed spec files or override strings."""
 
 
-def checked(section, build, *args):
-    """build(*args), reporting a ValueError it raises as a ConfigError.
+def checked(section, build, *args, **kwargs):
+    """build(*args, **kwargs), reporting its ValueError as a ConfigError.
 
     The runners pass every constructor that validates values from the
     spec's [section] through here, so a ValueError raised anywhere else in
     a run is a program error rather than a bad spec.
     """
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from None
 
 
-def spsa_config(spec, budget, shots_per_eval, max_iters=None):
-    """SpsaConfig from [optimizer], given the runner's defaults.
+# the [optimizer] keys of SpsaConfig; big_a, acceptance and budget are not
+# spec keys
+SPSA_KEYS = {"max_iters": int, "shots_per_eval": int, "a": float,
+             "c": float, "alpha": float, "gamma": float}
+
+
+def spsa_config(settings, budget, shots_per_eval, max_iters=None):
+    """SpsaConfig from the parsed SPSA_KEYS, given the runner's defaults.
 
     max_iters=None defaults the iteration count to as many +- pairs as
     the budget pays for, at least one.
     """
-    shots = spec.get_int("optimizer", "shots_per_eval", shots_per_eval)
+    settings = {"shots_per_eval": shots_per_eval, **settings}
     if max_iters is None:
         # a non-positive shot count is SpsaConfig's to reject
-        max_iters = max(1, budget // (2 * max(shots, 1)))
-    return SpsaConfig(
-        max_iters=spec.get_int("optimizer", "max_iters", max_iters),
-        shots_per_eval=shots,
-        a=(None if spec.get("optimizer", "a") is None
-           else spec.get_float("optimizer", "a")),
-        c=spec.get_float("optimizer", "c", 0.1),
-        alpha=spec.get_float("optimizer", "alpha", 0.602),
-        gamma=spec.get_float("optimizer", "gamma", 0.101),
-        budget=budget)
+        max_iters = max(1, budget // (2 * max(settings["shots_per_eval"], 1)))
+    settings.setdefault("max_iters", max_iters)
+    return SpsaConfig(budget=budget, **settings)
 
 
 def expand_seeds(text: str) -> list[int]:
@@ -166,6 +170,26 @@ class RunSpec:
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{section}.{key}: not a boolean: {raw!r}")
+
+    def fields(self, section: str, **types) -> dict:
+        """The keys [section] sets, each parsed as types names it.
+
+        types maps every key the caller reads to int, float, bool or str.
+        Keys the section leaves unset are left out, so the caller's
+        defaults apply; a key it sets that types does not name is a
+        ConfigError.
+        """
+        table = self._table(section)
+        unread = [key for key in table if key not in types]
+        if unread:
+            raise ConfigError(
+                f"unknown key(s) "
+                f"{', '.join(f'{section}.{key}' for key in unread)}; "
+                f"[{section}] here reads {', '.join(types)}")
+        readers = {int: self.get_int, float: self.get_float,
+                   bool: self.get_bool, str: self.get_str}
+        return {key: readers[kind](section, key)
+                for key, kind in types.items() if key in table}
 
     def seeds(self) -> list[int]:
         return expand_seeds(self.get_str("run", "seeds", "0"))

@@ -18,7 +18,7 @@ from .. import rr
 from ..baselines import spsa
 from ..bandits import GaussianBandit
 from ..rng import SeededRng
-from .config import ConfigError, checked, spsa_config
+from .config import SPSA_KEYS, ConfigError, checked, spsa_config
 from .output import write_csv
 
 N_CELLS = 20
@@ -79,16 +79,17 @@ def make_toy_bandit(sigma=1.0):
 
 
 def _rr_setup(spec, budget):
-    cfg = rr.RRConfig(
-        epsilon=spec.get_float("optimizer", "epsilon", 2.0 ** -7),
-        delta=spec.get_float("optimizer", "delta", 0.1),
-        lipschitz=spec.get_float("optimizer", "lipschitz", WEDGE_SLOPE))
-    return cfg, budget
+    settings = {"epsilon": 2.0 ** -7, "delta": 0.1, "lipschitz": WEDGE_SLOPE}
+    settings.update(spec.fields("optimizer", epsilon=float, delta=float,
+                                lipschitz=float))
+    return rr.RRConfig(**settings), budget
 
 
 def _spsa_setup(spec, budget):
-    cfg = spsa_config(spec, budget, shots_per_eval=100_000, max_iters=200)
-    return cfg, np.array([spec.get_float("optimizer", "start", 0.5)])
+    settings = spec.fields("optimizer", start=float, **SPSA_KEYS)
+    start = settings.pop("start", 0.5)
+    cfg = spsa_config(settings, budget, shots_per_eval=100_000, max_iters=200)
+    return cfg, np.array([start])
 
 
 def _run_rr(cfg, budget, bandit, seed):
@@ -139,12 +140,12 @@ def run_toy(spec):
         raise ConfigError(f"run.optimizer must be one of {tuple(OPTIMIZERS)}, "
                           f"got {optimizer!r}")
     seeds = spec.seeds()
-    sigma = spec.get_float("instance", "sigma", 1.0)
     budget = spec.get_int("run", "budget", 0) or None
     out_dir = spec.get_str("run", "out", os.path.join("results", "toy"))
 
     x_star = smooth_minimizer()
-    bandit = checked("instance", make_toy_bandit, sigma)
+    bandit = checked("instance", make_toy_bandit,
+                     **spec.fields("instance", sigma=float))
     setup, run_seed = OPTIMIZERS[optimizer]
     runner = functools.partial(
         run_seed, *checked("optimizer", setup, spec, budget), bandit)

@@ -22,12 +22,15 @@ from ..baselines import PowellBrentConfig, powell_brent, spsa
 from ..lines import DriverConfig, powell_driver, random_direction_driver
 from ..qsim import MAX_QUBITS, PqcBandit, QaoaBandit, erdos_renyi
 from ..rng import SeededRng
-from .config import ConfigError, checked, spsa_config
+from .config import SPSA_KEYS, ConfigError, checked, spsa_config
 from .output import write_csv
 
 VQA_EXPERIMENTS = ("pqc", "qaoa")
 DEFAULT_THRESHOLDS = {"pqc": 0.4, "qaoa": 0.2}
 DEFAULT_BUDGET = 10_000_000
+# the chance that every draw is edgeless is (1 - edge_prob)^(pairs * this),
+# 2^-1000 at the default edge_prob on the smallest graph
+MAX_GRAPH_DRAWS = 1000
 
 RUN_HEADER = ["experiment", "optimizer", "size", "seed", "instance",
               "status", "n_total", "samples_spent", "oracle_evals",
@@ -41,55 +44,45 @@ def build_instance(experiment, size, spec, rng):
     if experiment == "pqc":
         if not 1 <= size <= MAX_QUBITS:
             raise ConfigError(f"pqc size {size} outside 1..{MAX_QUBITS}")
-        raw_layers = spec.get("instance", "layers")
-        layers = None if raw_layers is None else spec.get_int("instance", "layers")
-        bandit = checked("instance", PqcBandit, size, layers,
-                         spec.get_float("instance", "lipschitz", 0.5))
+        bandit = checked("instance", PqcBandit, size, **spec.fields(
+            "instance", layers=int, lipschitz=float))
         return bandit, f"pqc-n{size}-l{bandit.layers}"
     if experiment == "qaoa":
         if not 2 <= size <= MAX_QUBITS:
             raise ConfigError(f"qaoa size {size} outside 2..{MAX_QUBITS}")
-        edge_prob = spec.get_float("instance", "edge_prob", 0.5)
-        if not 0.0 < edge_prob <= 1.0:  # at 0 every draw is edgeless
+        settings = spec.fields("instance", edge_prob=float, layers=int,
+                               lipschitz=float)
+        edge_prob = settings.pop("edge_prob", 0.5)
+        for _ in range(MAX_GRAPH_DRAWS):
+            graph = checked("instance", erdos_renyi, size, rng, edge_prob)
+            if graph.m:  # an edgeless draw has no cut to score
+                break
+        else:
             raise ConfigError(
-                f"instance.edge_prob must be in (0, 1], got {edge_prob}")
-        graph = checked("instance", erdos_renyi, size, rng, edge_prob)
-        while graph.m == 0:  # an edgeless draw has no cut to score
-            graph = erdos_renyi(size, rng, edge_prob)
-        bandit = checked("instance", QaoaBandit, graph,
-                         spec.get_int("instance", "layers", 2),
-                         spec.get_float("instance", "lipschitz", 0.5))
+                f"instance.edge_prob={edge_prob!r} drew no edge on {size} "
+                f"vertices in {MAX_GRAPH_DRAWS} graphs")
+        bandit = checked("instance", QaoaBandit, graph, **settings)
         return bandit, f"qaoa-n{size}-m{graph.m}"
     raise ConfigError(f"unknown experiment {experiment!r}")
 
 
 def _driver_config(acceptance, spec, budget):
-    return DriverConfig(
-        lipschitz=spec.get_float("optimizer", "lipschitz", 0.5),
-        delta=spec.get_float("optimizer", "delta", 20.0),
-        q=spec.get_float("optimizer", "q", 400.0),
-        d_max=spec.get_int("optimizer", "d_max", 1),
-        epsilon_line=spec.get_float("optimizer", "epsilon_line", 2.0 ** -7),
-        wrap=spec.get_str("optimizer", "wrap", "periodic"),
-        acceptance=acceptance,
-        raw_location_acceptance=spec.get_bool(
-            "optimizer", "raw_location_acceptance", False),
-        early_stop_depth1=spec.get_bool("optimizer", "early_stop_depth1", False),
-        max_steps=spec.get_int("optimizer", "max_steps", 100_000),
-        budget=budget)
+    return DriverConfig(acceptance=acceptance, budget=budget, **spec.fields(
+        "optimizer", lipschitz=float, delta=float, q=float, d_max=int,
+        epsilon_line=float, wrap=str, raw_location_acceptance=bool,
+        early_stop_depth1=bool, max_steps=int))
 
 
 def _spsa_config(spec, budget):
-    return spsa_config(spec, budget, shots_per_eval=10_000)
+    return spsa_config(spec.fields("optimizer", **SPSA_KEYS), budget,
+                       shots_per_eval=10_000)
 
 
 def _powell_brent_config(spec, budget):
-    return PowellBrentConfig(
-        max_iters=spec.get_int("optimizer", "max_iters", 50),
-        shots_per_eval=spec.get_int("optimizer", "shots_per_eval", 10_000),
-        xtol=spec.get_float("optimizer", "xtol", 1e-4),
-        ftol=spec.get_float("optimizer", "ftol", 1e-6),
-        budget=budget)
+    settings = spec.fields("optimizer", max_iters=int, shots_per_eval=int,
+                           xtol=float, ftol=float)
+    settings.setdefault("shots_per_eval", 10_000)
+    return PowellBrentConfig(budget=budget, **settings)
 
 
 # name -> (config builder, driver). The driver is named, not held, and

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..bandits import Bandit
-from .graphs import cut_values, maxcut_bruteforce
+from .graphs import cut_values
 from .statevector import (apply_cz, apply_hadamard, apply_phase,
                           apply_rotation, batch_size, probabilities,
                           zero_state)
@@ -139,7 +139,7 @@ class QaoaBandit(_ShotBandit):
         self.dimension = 2 * self.layers
         self.lipschitz = float(lipschitz)
         self.cuts = cut_values(graph).astype(np.float64)
-        self.maxcut = maxcut_bruteforce(graph)
+        self.maxcut = int(self.cuts.max())
         self.rewards = 1.0 - self.cuts / self.maxcut
 
     def state(self, params):

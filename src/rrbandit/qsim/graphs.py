@@ -66,39 +66,5 @@ def cut_values(graph):
 
 
 def maxcut_bruteforce(graph):
-    """Exact max-cut by scanning all bipartitions (vertex n-1 side fixed)."""
-    if graph.n > MAX_CUT_VERTICES:
-        raise ValueError(f"brute force limited to {MAX_CUT_VERTICES} vertices")
-    if graph.m == 0:
-        return 0
-    eu, ev = graph.edge_arrays()
-    return int(_accel.maxcut(graph.n, eu, ev))
-
-
-def write_graph(graph, path):
-    """Plain-text format: first line "n m", then one "u v" line per edge."""
-    with open(path, "w") as fh:
-        fh.write(f"{graph.n} {graph.m}\n")
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
-
-
-def read_graph(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ValueError(f"{path}: empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: first line must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"{path}: expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        edges.append((min(u, v), max(u, v)))
-    return Graph(n, tuple(edges))
+    """Exact max-cut: the largest entry of the cut table (0 with no edges)."""
+    return int(cut_values(graph).max())

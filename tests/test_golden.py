@@ -24,6 +24,17 @@ RUNS = {
         "run.optimizer": "rr_reject", "run.sizes": "4",
         "run.seeds": "0..1", "run.budget": "200000"}),
     "bounds-wedge": ("bounds", None, {}),
+    # one run per optimizer config path the runs above leave unpinned
+    "qaoa-spsa": ("vqa", "qaoa", {  # max_iters derived from the budget
+        "run.optimizer": "spsa", "run.sizes": "4",
+        "run.seeds": "0..1", "run.budget": "200000"}),
+    "qaoa-powell_brent": ("vqa", "qaoa", {
+        "run.optimizer": "powell_brent", "run.sizes": "4",
+        "run.seeds": "0..1", "run.budget": "200000"}),
+    "pqc-rr_aim": ("vqa", "pqc", {
+        "run.optimizer": "rr_aim", "run.sizes": "4",
+        "run.seeds": "0..1", "run.budget": "200000"}),
+    "toy-spsa": ("toy", None, {"run.optimizer": "spsa", "run.seeds": "0..4"}),
 }
 
 GOLDEN = {
@@ -31,11 +42,23 @@ GOLDEN = {
         "bounds.csv":
             "90641916a04a4b582f38aee9c7a1b95733e8317e7fcb1980718b2efc90d4fb42",
     },
+    "pqc-rr_aim": {
+        "aggregate.csv":
+            "2c83921bb599a8df594fdb1a6f13dc95f011ff4af5716e5cce07edddbb464e2a",
+        "runs.csv":
+            "ae26faccf610985150f3bff8618edbb12803cea457915a2be087ddb564630d3d",
+    },
     "pqc-rr_reject": {
         "aggregate.csv":
             "c2ed84212b54fb270c368cab281ce73fb99cf54a6d1220e1cbfc0913013c2faf",
         "runs.csv":
             "1a0d894b88e33e0412c39864d31440f71e25056417fedf583cb7fa4426123aa0",
+    },
+    "qaoa-powell_brent": {
+        "aggregate.csv":
+            "2ea09e60cbe06367f625c36f2189c788851937ac17f4eccf8df26bfb2e808def",
+        "runs.csv":
+            "39e60b2268d1d1f27925123c7ae84d4a829e3397a2ae0a827c16e1f7f2e6d0d9",
     },
     "qaoa-rr_powell": {
         "aggregate.csv":
@@ -43,11 +66,23 @@ GOLDEN = {
         "runs.csv":
             "469005b640efd369105f1fd8bf2df024ddcf25b8d6cdbbd854b563831fd84fe0",
     },
+    "qaoa-spsa": {
+        "aggregate.csv":
+            "70e167c2088e06da74e67db3424489290b363906d434d66a16e957d82cda3e60",
+        "runs.csv":
+            "653c1f35c35b75906865158be97019f39d1f9d869f5991246c83109f050a95f3",
+    },
     "toy-rr": {
         "runs.csv":
             "ba4c6dfde38f8ce1b1376bab56a176717da3ca96aeeae028ae1f93e840ed8665",
         "trace.csv":
             "1a4c6d7150106bdf1cfc61b19ea3f06bf5bbebfd36464abc129777a7fb898d7e",
+    },
+    "toy-spsa": {
+        "runs.csv":
+            "9ab560caf1e5e2bb18a2cf4495c305f8251ac25512a10338b038080cbaf23dc8",
+        "trace.csv":
+            "8ac501c8a59afc917c498edbabbbcff02ceb09e9728b0c175625491ad58a2154",
     },
 }
 

@@ -7,18 +7,24 @@ import numpy as np
 import pytest
 
 from rrbandit import bounds
-from rrbandit.baselines import spsa
+from rrbandit.baselines import PowellBrentConfig, SpsaConfig, spsa
 from rrbandit.harness import (ConfigError, RunSpec, aggregate, build_instance,
                               load_spec, parse_overrides, run_bounds,
                               run_single, run_toy, run_vqa)
 from rrbandit.harness.cli import main
 from rrbandit.harness.config import expand_ints, expand_seeds
 from rrbandit.harness.output import fmt_value, write_csv
-from rrbandit.harness.toy import (smooth_minimizer, smooth_profile,
+from rrbandit.harness.toy import (WEDGE_SLOPE, make_toy_bandit,
+                                  smooth_minimizer, smooth_profile,
                                   staircase, staircase_cell, toy_objective)
-from rrbandit.harness import vqa
+from rrbandit.harness import toy, vqa
 from rrbandit.harness.vqa import midpoint_quantile, optimizer_config
+from rrbandit.lines import DriverConfig
+from rrbandit.qsim import PqcBandit, QaoaBandit, erdos_renyi
 from rrbandit.rng import SeededRng
+from rrbandit.rr import RRConfig
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 # ----------------------------------------------------------- spec files
@@ -57,6 +63,25 @@ def test_runspec_typed_getters():
     spec.set("optimizer", "flag", "maybe")
     with pytest.raises(ConfigError):
         spec.get_bool("optimizer", "flag")
+
+
+def test_runspec_fields_reads_set_keys_and_refuses_the_rest():
+    spec = RunSpec()
+    spec.set("optimizer", "q", "3.5")
+    spec.set("optimizer", "d_max", "2")
+    spec.set("optimizer", "wrap", "clip")
+    spec.set("optimizer", "early_stop_depth1", "yes")
+    types = {"q": float, "d_max": int, "wrap": str,
+             "early_stop_depth1": bool, "delta": float}
+    assert spec.fields("optimizer", **types) == {
+        "q": 3.5, "d_max": 2, "wrap": "clip", "early_stop_depth1": True}
+    assert spec.fields("instance", sigma=float) == {}
+    del types["q"]
+    with pytest.raises(ConfigError, match=r"optimizer\.q;"):
+        spec.fields("optimizer", **types)
+    spec.set("optimizer", "d_max", "two")
+    with pytest.raises(ConfigError, match="d_max: not an integer"):
+        spec.fields("optimizer", q=float, **types)
 
 
 def test_load_spec_ini(tmp_path):
@@ -228,6 +253,66 @@ def test_build_instance_labels():
         build_instance("mystery", 3, spec, SeededRng(0))
 
 
+def test_empty_spec_builds_the_constructor_defaults():
+    """With no [optimizer] key set, every config equals its constructor
+    given only the runner's own defaults."""
+    budget = 1_000_000
+    vqa_expected = {
+        "rr_powell": DriverConfig(budget=budget),
+        "rr_reject": DriverConfig(budget=budget),
+        "rr_aim": DriverConfig(acceptance="aim", budget=budget),
+        # max_iters: as many +- pairs of 10_000 shots as the budget buys
+        "spsa": SpsaConfig(max_iters=50, shots_per_eval=10_000,
+                           budget=budget),
+        "powell_brent": PowellBrentConfig(shots_per_eval=10_000,
+                                          budget=budget),
+    }
+    assert {name: optimizer_config(RunSpec(), name, budget)
+            for name in vqa.OPTIMIZERS} == vqa_expected
+    assert set(toy.OPTIMIZERS) == {"rr", "spsa"}
+    assert toy.OPTIMIZERS["rr"][0](RunSpec(), None) == (
+        RRConfig(epsilon=2.0 ** -7, delta=0.1, lipschitz=WEDGE_SLOPE), None)
+    cfg, start = toy.OPTIMIZERS["spsa"][0](RunSpec(), None)
+    assert cfg == SpsaConfig(max_iters=200, shots_per_eval=100_000)
+    assert start.tolist() == [0.5]
+
+
+def test_empty_spec_builds_the_constructor_default_instances(
+        tmp_path, monkeypatch):
+    bandit, _ = build_instance("pqc", 3, RunSpec(), SeededRng(0))
+    ref = PqcBandit(3)
+    assert (bandit.layers, bandit.lipschitz) == (ref.layers, ref.lipschitz)
+    bandit, _ = build_instance("qaoa", 6, RunSpec(), SeededRng(1))
+    ref = QaoaBandit(erdos_renyi(6, SeededRng(1), 0.5))
+    assert ((bandit.graph, bandit.layers, bandit.lipschitz)
+            == (ref.graph, ref.layers, ref.lipschitz))
+    built = []
+
+    def recording_toy_bandit(**kwargs):
+        built.append(kwargs)
+        return make_toy_bandit(**kwargs)
+
+    monkeypatch.setattr(toy, "make_toy_bandit", recording_toy_bandit)
+    spec = RunSpec()
+    spec.set("run", "out", str(tmp_path / "toy"))
+    spec.set("optimizer", "epsilon", "0.0625")
+    run_toy(spec)
+    assert built == [{}]
+
+
+def test_readme_spec_example_is_accepted(tmp_path):
+    """README's ini example loads and builds its optimizer and instance."""
+    with open(README, encoding="utf-8") as fh:
+        example = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example.ini"
+    path.write_text(example)
+    spec = load_spec(str(path))
+    config = optimizer_config(spec, spec.get_str("run", "optimizer"),
+                              spec.get_int("run", "budget"))
+    assert (config.q, config.d_max) == (400, 1)
+    build_instance("qaoa", spec.sizes()[0], spec, SeededRng(0))
+
+
 def test_run_single_crosses_immediately_with_loose_threshold():
     spec = RunSpec()
     config = optimizer_config(spec, "rr_reject", 10_000)
@@ -370,10 +455,18 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     ["toy", "--set", "instance.sigma=-1"],
     ["qaoa", "--sizes", "4", "--seeds", "0", "--set", "instance.edge_prob=0"],
     ["qaoa", "--optimizer", "spsa", "--set", "optimizer.shots_per_eval=0"],
+    # keys the runner does not read
+    ["pqc", "--set", "optimizer.dmax=3"],
+    ["qaoa", "--optimizer", "spsa", "--set", "optimizer.q=3"],
+    ["pqc", "--set", "instance.edge_prob=0.5"],
+    ["toy", "--set", "optimizer.epsilom=0.0625"],
+    ["qaoa", "--sizes", "2", "--seeds", "0",
+     "--set", "instance.edge_prob=1e-12"],  # no edge in any capped draw
 ])
 def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
-    """A value an optimizer config or an instance rejects exits 2 as a
-    configuration error, and no output is written."""
+    """A value an optimizer config or an instance rejects, or a key its
+    runner does not read, exits 2 as a configuration error, and no output
+    is written."""
     out_dir = tmp_path / "out"
     assert main(argv + ["--out", str(out_dir)]) == 2
     assert "error:" in capsys.readouterr().err

@@ -16,8 +16,7 @@ from rrbandit.qsim import (Graph, MAX_QUBITS, PqcBandit, QaoaBandit,
                            apply_rotation, complete_graph,
                            cut_values, erdos_renyi, expected_reward,
                            maxcut_bruteforce, norm, num_qubits, path_graph,
-                           probabilities, read_graph, write_graph,
-                           zero_state, zeros_fractions)
+                           probabilities, zero_state, zeros_fractions)
 from rrbandit.qsim.costs import TWO_PI
 from rrbandit.qsim.statevector import batch_size
 from rrbandit.rng import SeededRng
@@ -379,6 +378,7 @@ def test_maxcut_known_graphs():
     assert maxcut_bruteforce(path_graph(4)) == 3
     assert maxcut_bruteforce(complete_graph(4)) == 4
     assert maxcut_bruteforce(Graph(2, ((0, 1),))) == 1
+    assert maxcut_bruteforce(Graph(3, ())) == 0
 
 
 def independent_maxcut(graph):
@@ -400,6 +400,7 @@ def test_maxcut_matches_independent_enumeration():
         if g.m == 0:
             continue
         assert maxcut_bruteforce(g) == independent_maxcut(g)
+        assert QaoaBandit(g).maxcut == independent_maxcut(g)
         table = cut_values(g)
         assert int(table.max()) == maxcut_bruteforce(g)
         # cut(z) is symmetric under complementing the mask
@@ -415,21 +416,3 @@ def test_erdos_renyi_edge_statistics():
     assert abs(mean - pairs * 0.3) < 5 * se
     assert erdos_renyi(5, gen.child(9999), 0.0).m == 0
     assert erdos_renyi(5, gen.child(9998), 1.0).m == 10
-
-
-def test_graph_file_round_trip(tmp_path):
-    g = erdos_renyi(6, SeededRng(70), 0.5)
-    path = tmp_path / "g.txt"
-    write_graph(g, str(path))
-    assert read_graph(str(path)) == g
-
-
-def test_read_graph_errors(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("3 2\n0 1\n")
-    with pytest.raises(ValueError, match="expected 2 edge"):
-        read_graph(str(bad))
-    empty = tmp_path / "empty.txt"
-    empty.write_text("\n")
-    with pytest.raises(ValueError):
-        read_graph(str(empty))
