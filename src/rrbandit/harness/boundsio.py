@@ -46,17 +46,18 @@ def _load(entry, lipschitz):
 def run_bounds(spec):
     """Evaluate lower/upper/trivial bounds and the covering-exponent fit
     for every configured instance; write bounds.csv."""
+    run = spec.fields("run", instances=str, epsilon=float, delta=float,
+                      radii=str, lipschitz=float, out=str)
     entries = [part.strip()
-               for part in spec.get_str("run", "instances", "wedge").split(",")
+               for part in run.get("instances", "wedge").split(",")
                if part.strip()]
     if not entries:
         raise ConfigError("run.instances is empty")
-    epsilon = spec.get_float("run", "epsilon", 2.0 ** -5)
-    delta = spec.get_float("run", "delta", 0.1)
-    radii = _parse_radii(spec.get_str("run", "radii", DEFAULT_RADII))
-    raw_l = spec.get("run", "lipschitz")
-    lipschitz = None if raw_l is None else spec.get_float("run", "lipschitz")
-    out_dir = spec.get_str("run", "out", os.path.join("results", "bounds"))
+    epsilon = run.get("epsilon", 2.0 ** -5)
+    delta = run.get("delta", 0.1)
+    radii = _parse_radii(run.get("radii", DEFAULT_RADII))
+    lipschitz = run.get("lipschitz")
+    out_dir = run.get("out", os.path.join("results", "bounds"))
 
     rows = []
     for entry in entries:

@@ -8,11 +8,11 @@ Run specs are INI files with three sections:
 
 Every value is a plain string in the file; typed access goes through
 RunSpec.get_* helpers so that error messages name the offending key.
-The runners read [instance] and [optimizer] through RunSpec.fields, which
-names every key a runner reads and refuses any other, so a misspelt key
-is an error and not a silent default. A key left unset is not passed on:
-the config or bandit constructor's own default applies, apart from the few
-runner defaults each runner states. [run] keys are not checked.
+The runners read every section through RunSpec.fields, which names every
+key a runner reads and refuses any other, so a misspelt key is an error
+and not a silent default. A key left unset is not passed on: the config
+or bandit constructor's own default applies, apart from the few runner
+defaults each runner states.
 Command-line overrides use the dotted form  section.key=value.
 """
 

@@ -135,13 +135,17 @@ def run_toy(spec):
 
     Returns a dict with the output paths and the per-seed summary rows.
     """
-    optimizer = spec.get_str("run", "optimizer", "rr")
+    run = spec.fields("run", optimizer=str, seeds=str, budget=int, out=str,
+                      workers=int)
+    optimizer = run.get("optimizer", "rr")
     if optimizer not in OPTIMIZERS:
         raise ConfigError(f"run.optimizer must be one of {tuple(OPTIMIZERS)}, "
                           f"got {optimizer!r}")
+    if run.get("workers", 1) != 1:
+        raise ConfigError("run.workers must be 1: toy runs its seeds serially")
     seeds = spec.seeds()
-    budget = spec.get_int("run", "budget", 0) or None
-    out_dir = spec.get_str("run", "out", os.path.join("results", "toy"))
+    budget = run.get("budget", 0) or None
+    out_dir = run.get("out", os.path.join("results", "toy"))
 
     x_star = smooth_minimizer()
     bandit = checked("instance", make_toy_bandit,

@@ -119,6 +119,9 @@ def run_single(experiment, optimizer, size, seed, threshold, config, spec):
     instance, child 1 draws the start point, child 2 feeds the optimizer.
     The bandit is wrapped in a pull counter so the reported sample count
     is the bandit-interface truth rather than optimizer bookkeeping.
+    oracle_evals counts crossing checks; a check at the point checked last
+    (a rejected step leaves the incumbent unchanged) and final_cost reuse
+    that point's exact mean instead of simulating it again.
     """
     run_rng = SeededRng(seed, key=(size,))
     bandit, label = build_instance(experiment, size, spec, run_rng.child(0))
@@ -127,10 +130,18 @@ def run_single(experiment, optimizer, size, seed, threshold, config, spec):
     counting = CountingBandit(bandit)
     start = run_rng.child(1).random(bandit.dimension)
     oracle = {"evals": 0}
+    last = {}  # the last point's exact mean, by the point's bytes
+
+    def exact_mean(point):
+        key = np.asarray(point, dtype=np.float64).tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = bandit.mean(point)
+        return last[key]
 
     def crossed(point):
         oracle["evals"] += 1
-        return bandit.mean(point) <= threshold
+        return exact_mean(point) <= threshold
 
     if crossed(start):
         point = start
@@ -149,7 +160,7 @@ def run_single(experiment, optimizer, size, seed, threshold, config, spec):
         "n_total": counting.count if did_cross else math.inf,
         "samples_spent": counting.count,
         "oracle_evals": oracle["evals"],
-        "final_cost": float(bandit.mean(point)),
+        "final_cost": float(exact_mean(point)),
     }
 
 
@@ -203,18 +214,19 @@ def run_vqa(experiment, spec):
     """Run the (size, seed) grid for one optimizer; write runs + aggregate CSVs."""
     if experiment not in VQA_EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {VQA_EXPERIMENTS}")
-    optimizer = spec.get_str("run", "optimizer", "rr_powell")
-    threshold = spec.get_float("run", "threshold",
-                               DEFAULT_THRESHOLDS[experiment])
+    run = spec.fields("run", optimizer=str, threshold=float, budget=int,
+                      workers=int, sizes=str, seeds=str, out=str)
+    optimizer = run.get("optimizer", "rr_powell")
+    threshold = run.get("threshold", DEFAULT_THRESHOLDS[experiment])
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"run.threshold must be in (0,1), got {threshold}")
-    budget = spec.get_int("run", "budget", DEFAULT_BUDGET)
+    budget = run.get("budget", DEFAULT_BUDGET)
     if budget < 1:
         raise ConfigError("run.budget must be positive")
-    workers = spec.get_int("run", "workers", 1)
+    workers = run.get("workers", 1)
     sizes = spec.sizes()
     seeds = spec.seeds()
-    out_dir = spec.get_str("run", "out", os.path.join("results", experiment))
+    out_dir = run.get("out", os.path.join("results", experiment))
 
     config = optimizer_config(spec, optimizer, budget)
     jobs = [(experiment, optimizer, size, seed, threshold, config, spec)

@@ -139,6 +139,9 @@ class QaoaBandit(_ShotBandit):
         self.dimension = 2 * self.layers
         self.lipschitz = float(lipschitz)
         self.cuts = cut_values(graph).astype(np.float64)
+        # the phase gate's distinct cut levels and each basis state's level
+        self.levels, self.level_index = np.unique(self.cuts,
+                                                  return_inverse=True)
         self.maxcut = int(self.cuts.max())
         self.rewards = 1.0 - self.cuts / self.maxcut
 
@@ -150,8 +153,9 @@ class QaoaBandit(_ShotBandit):
         for q in range(self.graph.n):
             apply_hadamard(state, q)
         for layer in range(p):
-            apply_phase(state, self.cuts, gammas[..., layer])
-            for q in range(self.graph.n):
-                # exp(-i beta X) is an x-rotation by 2*beta
-                apply_rotation(state, q, "x", 2.0 * betas[..., layer])
+            apply_phase(state, self.levels, self.level_index,
+                        gammas[..., layer])
+            # exp(-i beta X) is an x-rotation by 2*beta on every qubit
+            apply_rotation(state, range(self.graph.n), "x",
+                           2.0 * betas[..., layer])
         return state

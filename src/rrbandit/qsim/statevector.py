@@ -11,6 +11,16 @@ reshape(k, 2^(n-1-q), 2, 2^q), whose third axis is that qubit's bit, so
 one call updates every state of a batch. Each amplitude sees the same
 arithmetic whether its state is simulated alone or in a batch, so
 batching never changes a sampled shot.
+
+Values shared by many amplitudes are computed once. A rotation on a
+sequence of qubits builds its matrix entries once and applies them qubit
+by qubit. A diagonal phase is given as distinct levels and a
+per-basis-state index into them, so exp runs once per level and not once
+per amplitude; exp of the same input gives the same bits, so the result
+is identical to taking exp per amplitude. Keep each product's operand
+order (m00 * v0, coef * levels):
+numpy may evaluate complex a * b and b * a with fused multiply-adds that
+round differently, which would move amplitudes by an ulp.
 """
 
 import math
@@ -89,13 +99,22 @@ def _rotation_entries(axis, angle):
     return (complex(c, -s), 0j, 0j, complex(c, s))
 
 
-def apply_rotation(state, qubit, axis, angle):
-    """exp(-i * angle * P / 2) for the Pauli P named by axis ('x', 'y', 'z')."""
-    _check_qubit(state, qubit)
+def apply_rotation(state, qubits, axis, angle):
+    """exp(-i * angle * P / 2) for the Pauli P named by axis ('x', 'y', 'z'),
+    on one qubit or on each of a sequence of qubits in turn.
+
+    The matrix entries are built once and shared by every qubit.
+    """
+    qubits = [qubits] if np.ndim(qubits) == 0 else list(qubits)
+    for qubit in qubits:
+        _check_qubit(state, qubit)
     if axis not in ("x", "y", "z"):
         raise ValueError("axis must be 'x', 'y' or 'z'")
     m = np.array([_rotation_entries(axis, a) for a in _angles(state, angle)])
-    return _apply_1q(state, *m.T.reshape(4, -1, 1, 1), int(qubit))
+    entries = m.T.reshape(4, -1, 1, 1)
+    for qubit in qubits:
+        _apply_1q(state, *entries, int(qubit))
+    return state
 
 
 def apply_hadamard(state, qubit):
@@ -116,14 +135,19 @@ def apply_cz(state, q1, q2):
     return state
 
 
-def apply_phase(state, values, angle):
-    """Diagonal phase exp(-i * angle * values[z]) per basis state z."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != state.shape[-1:]:
-        raise ValueError("values must have one entry per basis state")
+def apply_phase(state, levels, index, angle):
+    """Diagonal phase exp(-i * angle * levels[index[z]]) per basis state z.
+
+    A diagonal with few distinct values (a cut table) takes exp of each
+    level once and gathers the factors by index.
+    """
+    levels = np.asarray(levels, dtype=np.float64)
+    index = np.asarray(index)
+    if levels.ndim != 1 or index.shape != state.shape[-1:]:
+        raise ValueError("need 1-d levels and one index per basis state")
     coef = np.array([-1j * a for a in _angles(state, angle)])
     psi = state.reshape(-1, state.shape[-1])
-    psi *= np.exp(coef[:, None] * values)
+    psi *= np.exp(coef[:, None] * levels)[:, index]
     return state
 
 

@@ -221,6 +221,7 @@ def test_criterion_6_simulator_fidelity(record_criterion):
     n = 6
     state = zero_state(n)
     diag = gate_rng.standard_normal(1 << n)
+    every_state = np.arange(1 << n)  # each basis state its own phase level
     worst_norm = 0.0
     for _ in range(100_000):
         kind = int(gate_rng.integers(0, 4))
@@ -234,7 +235,7 @@ def test_criterion_6_simulator_fidelity(record_criterion):
             q1, q2 = gate_rng.choice(n, size=2, replace=False)
             state = apply_cz(state, int(q1), int(q2))
         else:
-            state = apply_phase(state, diag,
+            state = apply_phase(state, diag, every_state,
                                 float(gate_rng.uniform(0.0, 2.0 * math.pi)))
         worst_norm = max(worst_norm, abs(norm(state) - 1.0))
     norm_ok = worst_norm <= 1e-10

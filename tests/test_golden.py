@@ -35,6 +35,10 @@ RUNS = {
         "run.optimizer": "rr_aim", "run.sizes": "4",
         "run.seeds": "0..1", "run.budget": "200000"}),
     "toy-spsa": ("toy", None, {"run.optimizer": "spsa", "run.seeds": "0..4"}),
+    # a 12-qubit circuit whose line searches are mostly rejected
+    "qaoa-rr_powell-wide": ("vqa", "qaoa", {
+        "run.optimizer": "rr_powell", "run.sizes": "12",
+        "run.seeds": "0", "run.budget": "1000000"}),
 }
 
 GOLDEN = {
@@ -65,6 +69,12 @@ GOLDEN = {
             "92b7932a2ae3af30ab0e8d03b15440aa01f42196d74f65ef49e108016c968077",
         "runs.csv":
             "469005b640efd369105f1fd8bf2df024ddcf25b8d6cdbbd854b563831fd84fe0",
+    },
+    "qaoa-rr_powell-wide": {
+        "aggregate.csv":
+            "419ce1f8b4585f0c347d997dc3361930d6b8f44a8437a67ae106dd7004044aed",
+        "runs.csv":
+            "e58c690f2397ff4855658fe6e5fd58c017f139cbd313f01130eb1bdd35e83cc9",
     },
     "qaoa-spsa": {
         "aggregate.csv":

@@ -19,8 +19,9 @@ from rrbandit.harness.toy import (WEDGE_SLOPE, make_toy_bandit,
                                   staircase, staircase_cell, toy_objective)
 from rrbandit.harness import toy, vqa
 from rrbandit.harness.vqa import midpoint_quantile, optimizer_config
-from rrbandit.lines import DriverConfig
+from rrbandit.lines import DriverConfig, powell_driver
 from rrbandit.qsim import PqcBandit, QaoaBandit, erdos_renyi
+from rrbandit.qsim.costs import _ShotBandit
 from rrbandit.rng import SeededRng
 from rrbandit.rr import RRConfig
 
@@ -349,6 +350,33 @@ def test_run_single_budget_integrity():
     assert again == row
 
 
+def test_run_single_simulates_each_incumbent_once(monkeypatch):
+    """Crossing checks at an unchanged incumbent and final_cost reuse its
+    exact mean: mean runs once per distinct point, and oracle_evals still
+    counts every check (8 here, as when each check simulated its point)."""
+    simulated, checked = [], []
+    exact_mean = _ShotBandit.mean
+
+    def recording_mean(self, params):
+        simulated.append(np.asarray(params).tobytes())
+        return exact_mean(self, params)
+
+    def recording_driver(bandit, start, cfg, rng, stop_condition):
+        def stop(point):
+            checked.append(point.tobytes())
+            return stop_condition(point)
+        return powell_driver(bandit, start, cfg, rng, stop_condition=stop)
+
+    monkeypatch.setattr(_ShotBandit, "mean", recording_mean)
+    monkeypatch.setattr(vqa, "powell_driver", recording_driver)
+    spec = RunSpec()
+    config = optimizer_config(spec, "rr_powell", 300_000)
+    row = run_single("qaoa", "rr_powell", 5, 0, 1e-9, config, spec)
+    assert row["oracle_evals"] == 1 + len(checked) == 8
+    assert len(set(simulated)) == len(simulated) < row["oracle_evals"]
+    assert set(simulated) == set(checked) | {simulated[0]}
+
+
 def test_run_vqa_schema_and_aggregate_consistency(tmp_path):
     spec = RunSpec()
     spec.set("run", "optimizer", "rr_reject")
@@ -462,6 +490,13 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     ["toy", "--set", "optimizer.epsilom=0.0625"],
     ["qaoa", "--sizes", "2", "--seeds", "0",
      "--set", "instance.edge_prob=1e-12"],  # no edge in any capped draw
+    # [run] keys the runner does not read, or a value it cannot honour
+    ["qaoa", "--sizes", "2", "--seeds", "0", "--budget", "1000",
+     "--set", "run.thresold=0.9"],
+    ["pqc", "--set", "run.instances=wedge"],
+    ["toy", "--set", "run.sizes=4"],
+    ["toy", "--set", "run.workers=2"],  # toy runs its seeds serially
+    ["bounds", "--set", "run.seeds=0..3"],
 ])
 def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
     """A value an optimizer config or an instance rejects, or a key its

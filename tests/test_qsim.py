@@ -116,18 +116,74 @@ def test_phase_matches_dense_oracle():
     rng = SeededRng(13)
     psi = random_state(3, rng)
     values = rng.standard_normal(8)
+    dense = np.arange(8)  # every basis state its own level
     angle = 1.37
     expect = np.exp(-1j * angle * values) * psi
-    assert np.allclose(apply_phase(psi.copy(), values, angle), expect,
+    assert np.allclose(apply_phase(psi.copy(), values, dense, angle), expect,
                        atol=1e-12)
     batch = random_batch(3, 4, rng)
     angles = np.array([1.37, -0.2, 0.0, 5.5])
     expect = np.exp(-1j * angles[:, None] * values) * batch
-    assert np.allclose(apply_phase(batch.copy(), values, angles), expect,
-                       atol=1e-12)
+    assert np.allclose(apply_phase(batch.copy(), values, dense, angles),
+                       expect, atol=1e-12)
     # one angle for the whole batch
-    assert np.allclose(apply_phase(batch.copy(), values, angle),
+    assert np.allclose(apply_phase(batch.copy(), values, dense, angle),
                        np.exp(-1j * angle * values) * batch, atol=1e-12)
+    # repeated levels gathered by index
+    levels = values[:3]
+    index = rng.integers(0, 3, size=8)
+    assert np.allclose(apply_phase(psi.copy(), levels, index, angle),
+                       np.exp(-1j * angle * levels[index]) * psi, atol=1e-12)
+
+
+def per_amplitude_phase(state, values, angle):
+    """The phase as exp of every amplitude's own value, one exp per entry."""
+    angles = np.atleast_1d(np.asarray(angle, dtype=np.float64)).tolist()
+    coef = np.array([-1j * a for a in angles])
+    state.reshape(-1, state.shape[-1])[...] *= np.exp(coef[:, None] * values)
+    return state
+
+
+def test_phase_over_levels_is_bitwise_the_per_amplitude_exp():
+    """Gathering exp of the distinct levels gives the same bits as exp of
+    every amplitude's value, for cut tables and real-valued tables."""
+    gen = SeededRng(15)
+    for n in range(2, 15):
+        rng = gen.child(n)
+        graph = erdos_renyi(n, rng, 0.5)
+        cuts = cut_values(graph).astype(np.float64)
+        reals = rng.choice(rng.uniform(-3.0, 3.0, size=n + 1), size=1 << n)
+        for values in (cuts, reals):
+            levels, index = np.unique(values, return_inverse=True)
+            psi = random_state(n, rng)
+            angle = float(rng.uniform(-7.0, 7.0))
+            got = apply_phase(psi.copy(), levels, index, angle)
+            assert got.tobytes() == per_amplitude_phase(
+                psi.copy(), values, angle).tobytes()
+            batch = random_batch(n, 16, rng)
+            angles = rng.uniform(-7.0, 7.0, size=16)
+            got = apply_phase(batch.copy(), levels, index, angles)
+            assert got.tobytes() == per_amplitude_phase(
+                batch.copy(), values, angles).tobytes()
+
+
+def test_rotation_on_qubit_sequence_matches_per_qubit_calls():
+    """One call on a qubit sequence (a list with repeats, or a range as
+    the QAOA mixer passes) equals one call per qubit in that order."""
+    gen = SeededRng(16)
+    for i in range(20):
+        rng = gen.child(i)
+        n = int(rng.integers(1, 9))
+        axis = "xyz"[i % 3]
+        shuffled = rng.integers(0, n, size=2 * n).tolist()
+        for qubits, state, angle in (
+                (shuffled, random_state(n, rng), float(rng.uniform(-7, 7))),
+                (range(n), random_batch(n, 5, rng), rng.uniform(-7, 7, 5))):
+            expect = state.copy()
+            for q in qubits:
+                apply_rotation(expect, q, axis, angle)
+            got = apply_rotation(state.copy(), qubits, axis, angle)
+            assert got.tobytes() == expect.tobytes()
 
 
 def test_gate_argument_validation():
@@ -138,14 +194,16 @@ def test_gate_argument_validation():
         apply_rotation(psi, 0, "w", 0.1)
     with pytest.raises(ValueError):
         apply_cz(psi, 1, 1)
+    with pytest.raises(ValueError):  # one index per basis state
+        apply_phase(psi, np.zeros(3), np.zeros(3, dtype=int), 0.1)
     with pytest.raises(ValueError):
-        apply_phase(psi, np.zeros(3), 0.1)
+        apply_rotation(psi, [0, 2], "x", 0.1)
     with pytest.raises(ValueError):  # per-state angles need a batch
         apply_rotation(psi, 0, "x", np.zeros(2))
     batch = zero_state(2, (3,))
     assert batch.shape == (3, 4) and np.all(batch[:, 0] == 1.0)
     with pytest.raises(ValueError):  # one angle per state
-        apply_phase(batch, np.zeros(4), np.zeros(2))
+        apply_phase(batch, np.zeros(4), np.arange(4), np.zeros(2))
 
 
 def test_norm_conserved_by_random_gates():
@@ -212,6 +270,32 @@ def test_sample_means_match_looped_sample_mean(family, n):
                   for j in range(k)]
         assert batched.dtype == np.float64
         assert batched.tobytes() == np.array(looped).tobytes()
+
+
+def reference_qaoa_state(bandit, params):
+    """QAOA circuit gate by gate: exp of every amplitude's cut value, and
+    the mixer as one rotation call per qubit."""
+    p = bandit.layers
+    gammas = TWO_PI * params[..., :p]
+    betas = TWO_PI * params[..., p:]
+    state = zero_state(bandit.graph.n, params.shape[:-1])
+    for q in range(bandit.graph.n):
+        apply_hadamard(state, q)
+    for layer in range(p):
+        per_amplitude_phase(state, bandit.cuts, gammas[..., layer])
+        for q in range(bandit.graph.n):
+            apply_rotation(state, q, "x", 2.0 * betas[..., layer])
+    return state
+
+
+@pytest.mark.parametrize("n", [3, 8, 14])
+def test_qaoa_state_matches_the_per_qubit_circuit(n):
+    bandit = circuit_bandit("qaoa", n)
+    rng = SeededRng(95 + n)
+    for points in (rng.random(bandit.dimension),
+                   rng.random((16, bandit.dimension))):
+        assert (bandit.state(points).tobytes()
+                == reference_qaoa_state(bandit, points).tobytes())
 
 
 def test_sample_means_validation():
