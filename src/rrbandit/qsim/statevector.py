@@ -105,7 +105,9 @@ def apply_rotation(state, qubits, axis, angle):
 
     The matrix entries are built once and shared by every qubit.
     """
-    qubits = [qubits] if np.ndim(qubits) == 0 else list(qubits)
+    # hasattr, not np.ndim, which costs about 2 us on an int: the PQC
+    # ansatz makes one call per qubit and layer
+    qubits = tuple(qubits) if hasattr(qubits, "__iter__") else (qubits,)
     for qubit in qubits:
         _check_qubit(state, qubit)
     if axis not in ("x", "y", "z"):
