@@ -138,11 +138,11 @@ class QaoaBandit(_ShotBandit):
             raise ValueError("need at least one layer")
         self.dimension = 2 * self.layers
         self.lipschitz = float(lipschitz)
-        self.cuts = cut_values(graph).astype(np.float64)
-        # the phase gate's distinct cut levels and each basis state's level
-        self.levels, self.level_index = np.unique(self.cuts,
-                                                  return_inverse=True)
+        # the integer cut table doubles as the phase gate's index into its
+        # levels 0..maxcut, so no second 2^n array is kept
+        self.cuts = cut_values(graph)
         self.maxcut = int(self.cuts.max())
+        self.levels = np.arange(self.maxcut + 1, dtype=np.float64)
         self.rewards = 1.0 - self.cuts / self.maxcut
 
     def state(self, params):
@@ -153,8 +153,7 @@ class QaoaBandit(_ShotBandit):
         for q in range(self.graph.n):
             apply_hadamard(state, q)
         for layer in range(p):
-            apply_phase(state, self.levels, self.level_index,
-                        gammas[..., layer])
+            apply_phase(state, self.levels, self.cuts, gammas[..., layer])
             # exp(-i beta X) is an x-rotation by 2*beta on every qubit
             apply_rotation(state, range(self.graph.n), "x",
                            2.0 * betas[..., layer])

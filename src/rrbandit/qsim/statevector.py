@@ -14,13 +14,13 @@ batching never changes a sampled shot.
 
 Values shared by many amplitudes are computed once. A rotation on a
 sequence of qubits builds its matrix entries once and applies them qubit
-by qubit. A diagonal phase is given as distinct levels and a
-per-basis-state index into them, so exp runs once per level and not once
-per amplitude; exp of the same input gives the same bits, so the result
-is identical to taking exp per amplitude. Keep each product's operand
-order (m00 * v0, coef * levels):
-numpy may evaluate complex a * b and b * a with fused multiply-adds that
-round differently, which would move amplitudes by an ulp.
+by qubit. A diagonal phase is given as levels and a per-basis-state
+index into them, so exp runs once per level and not once per amplitude;
+exp of the same input gives the same bits, so the result is identical to
+taking exp per amplitude. Keep each product's operand order (m00 * v0,
+coef * levels): numpy may evaluate complex a * b and b * a with fused
+multiply-adds that round differently, which would move amplitudes by an
+ulp.
 """
 
 import math

@@ -145,16 +145,18 @@ def per_amplitude_phase(state, values, angle):
 
 
 def test_phase_over_levels_is_bitwise_the_per_amplitude_exp():
-    """Gathering exp of the distinct levels gives the same bits as exp of
-    every amplitude's value, for cut tables and real-valued tables."""
+    """Gathering exp of the levels gives the same bits as exp of every
+    amplitude's value: for a cut table indexing the levels 0..maxcut, as
+    QaoaBandit does, and for a real-valued table and its distinct values."""
     gen = SeededRng(15)
     for n in range(2, 15):
         rng = gen.child(n)
-        graph = erdos_renyi(n, rng, 0.5)
-        cuts = cut_values(graph).astype(np.float64)
+        cuts = cut_values(erdos_renyi(n, rng, 0.5))
         reals = rng.choice(rng.uniform(-3.0, 3.0, size=n + 1), size=1 << n)
-        for values in (cuts, reals):
-            levels, index = np.unique(values, return_inverse=True)
+        for values, levels, index in (
+                (cuts.astype(np.float64),
+                 np.arange(cuts.max() + 1, dtype=np.float64), cuts),
+                (reals, *np.unique(reals, return_inverse=True))):
             psi = random_state(n, rng)
             angle = float(rng.uniform(-7.0, 7.0))
             got = apply_phase(psi.copy(), levels, index, angle)
@@ -282,7 +284,8 @@ def reference_qaoa_state(bandit, params):
     for q in range(bandit.graph.n):
         apply_hadamard(state, q)
     for layer in range(p):
-        per_amplitude_phase(state, bandit.cuts, gammas[..., layer])
+        per_amplitude_phase(state, bandit.cuts.astype(np.float64),
+                            gammas[..., layer])
         for q in range(bandit.graph.n):
             apply_rotation(state, q, "x", 2.0 * betas[..., layer])
     return state
