@@ -20,10 +20,15 @@ class Bandit:
     so results do not depend on which points share a call. The default
     loops over sample_mean; sources that can serve many points at once
     (the circuit bandits simulate them as one batch) override it.
+
+    sigma is the noise scale: one pull minus its mean is
+    sigma-sub-Gaussian. Elimination scales its pull counts by it, so a
+    source noisier than 1-sub-Gaussian must say so.
     """
 
     lipschitz = 1.0
     dimension = 1
+    sigma = 1.0
 
     def mean(self, x):
         raise NotImplementedError
@@ -76,6 +81,7 @@ class CountingBandit(Bandit):
         self.inner = inner
         self.lipschitz = inner.lipschitz
         self.dimension = inner.dimension
+        self.sigma = inner.sigma
         self.count = 0
 
     def mean(self, x):

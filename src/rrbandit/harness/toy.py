@@ -61,16 +61,26 @@ def staircase_cell(x):
     return min(max(i, 1), N_CELLS)
 
 
+# staircase level of cell i at index i - 1
+_STAIRS = tuple(float(smooth_profile(i / N_CELLS))
+                for i in range(1, N_CELLS + 1))
+
+
 def staircase(x):
     """Smooth profile sampled at the center of x's cell."""
-    return float(smooth_profile(staircase_cell(x) / N_CELLS))
+    return _STAIRS[staircase_cell(x) - 1]
+
+
+@functools.lru_cache(maxsize=1)
+def _wedge_base():
+    return float(smooth_profile(smooth_minimizer()))
 
 
 def toy_objective(x):
     """min(staircase, wedge): the wedge re-exposes the true minimizer."""
     x = float(np.squeeze(np.asarray(x, dtype=np.float64)))
     x_star = smooth_minimizer()
-    wedge = float(smooth_profile(x_star)) + WEDGE_SLOPE * abs(x - x_star)
+    wedge = _wedge_base() + WEDGE_SLOPE * abs(x - x_star)
     return min(staircase(x), wedge)
 
 

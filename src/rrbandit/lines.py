@@ -54,6 +54,7 @@ class SliceBandit(Bandit):
         self.slice = sl
         self.lipschitz = float(lipschitz)
         self.dimension = 1
+        self.sigma = parent.sigma
 
     def mean(self, s):
         return self.parent.mean(self.slice.point(s))
@@ -158,10 +159,10 @@ def rr_line_search(bandit, sl, cfg, rng, incumbent_value, budget=None):
                             np.concatenate(locs), np.concatenate(vals))
 
 
-def _incumbent_pulls(cfg):
+def _incumbent_pulls(cfg, sigma):
     # same pull count as a depth-1 line arm, so comparisons are like for like
     n_arms = math.ceil(cfg.lipschitz) << 4
-    return rr.samples_per_arm(1, cfg.delta, n_arms)
+    return rr.samples_per_arm(1, cfg.delta, n_arms, sigma)
 
 
 def _start_result(bandit, start, cfg, rng):
@@ -172,7 +173,7 @@ def _start_result(bandit, start, cfg, rng):
         raise ValueError("start point must be a 1-d vector")
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("start point must lie in [0,1]^d")
-    n0 = _incumbent_pulls(cfg)
+    n0 = _incumbent_pulls(cfg, bandit.sigma)
     if cfg.budget is not None and n0 > cfg.budget:
         return DriverResult(p, math.nan, 0, budget_exhausted=True), n0
     value = bandit.sample_mean(p, n0, rng.child(0))

@@ -7,7 +7,8 @@ and removes the closed 2^-(t+4) neighborhood of every arm whose empirical
 mean exceeds the round best by more than 12 * 2^-(t+4). After
 D = log2(1/epsilon) rounds the best arm over all rounds is recommended,
 which locates the minimizer to within epsilon with probability 1 - delta
-for unimodal L-Lipschitz means under 1-sub-Gaussian noise.
+for unimodal L-Lipschitz means under sigma-sub-Gaussian noise (pull
+counts scale by max(1, sigma)^2, taken from the bandit's sigma).
 """
 
 import math
@@ -56,12 +57,14 @@ def grid_points(t, lipschitz):
     return (2.0 * k - 1.0) / (ceil_l * 2.0 ** (t + 4))
 
 
-def samples_per_arm(t, delta, n_arms):
+def samples_per_arm(t, delta, n_arms, sigma=1.0):
     """Pulls per arm for a +-2^-(t+4) CI at level 1 - delta/(2^t n_arms).
 
-    Valid for 1-sub-Gaussian rewards. For delta large enough that the log
-    goes non-positive (a deliberately overconfident setting) the count
-    floors at one pull and no coverage guarantee remains.
+    Valid for sigma-sub-Gaussian rewards: the 1-sub-Gaussian count is
+    multiplied by max(1, sigma)^2, so any sigma <= 1 gives the same count
+    as sigma = 1. For delta large enough that the log goes non-positive (a
+    deliberately overconfident setting) the count floors at one pull and
+    no coverage guarantee remains.
     """
     if int(t) != t or t < 1:
         raise ValueError("round index must be a positive integer")
@@ -69,9 +72,12 @@ def samples_per_arm(t, delta, n_arms):
         raise ValueError("delta must be positive")
     if int(n_arms) != n_arms or n_arms < 1:
         raise ValueError("n_arms must be a positive integer")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and non-negative")
     ell = ci_half_width(t)
     alpha = delta / (2 ** t * int(n_arms))
-    return max(1, math.ceil(2.0 * math.log(2.0 / alpha) / ell ** 2))
+    scale = max(1.0, sigma) ** 2
+    return max(1, math.ceil(2.0 * scale * math.log(2.0 / alpha) / ell ** 2))
 
 
 @dataclass(frozen=True)
@@ -138,10 +144,11 @@ def run_round(state, bandit, cfg, rng, budget=None):
     """Execute round state.round + 1 and return the successor state.
 
     The surviving grid arms are pulled in one sample_means call, arm k
-    from the child stream rng.child(t, k), so results do not depend on
-    sampling order or on how the bandit batches the arms. If the
-    round's total pull count would exceed the remaining budget, the state
-    is returned unchanged except for the budget_exhausted flag.
+    from the stream rng.child(t, k) (derived for all arms at once by
+    rng.children), so results do not depend on sampling order or on how
+    the bandit batches the arms. If the round's total pull count would
+    exceed the remaining budget, the state is returned unchanged except
+    for the budget_exhausted flag.
     """
     t = state.round + 1
     points = grid_points(t, cfg.lipschitz)
@@ -150,14 +157,14 @@ def run_round(state, bandit, cfg, rng, budget=None):
     if idx.size == 0:
         raise NoActiveArmsError(
             f"round {t}: no grid point inside the surviving region")
-    n_t = samples_per_arm(t, cfg.delta, idx.size)
+    n_t = samples_per_arm(t, cfg.delta, idx.size, bandit.sigma)
     cost = n_t * idx.size
     if budget is not None and state.total_samples + cost > budget:
         return replace(state, budget_exhausted=True)
 
     locations = points[idx]
-    values = bandit.sample_means(
-        locations.tolist(), n_t, [rng.child(t, int(i)) for i in idx])
+    values = bandit.sample_means(locations.tolist(), n_t,
+                                 rng.children((t,), idx))
 
     best_j = int(np.argmin(values))  # ties resolve to the smallest location
     best = ArmEstimate(t, float(locations[best_j]), float(values[best_j]), n_t)

@@ -76,6 +76,15 @@ def test_counting_bandit_ledgers_batched_pulls():
     assert c.count == 4 * 17
 
 
+def test_wrappers_forward_the_noise_scale():
+    assert Bandit.sigma == 1.0
+    noisy = GaussianBandit(lambda x: 0.0, sigma=6.0)
+    assert CountingBandit(noisy).sigma == 6.0
+    sl = LinearSlice((0.5,), (1.0,))
+    assert SliceBandit(noisy, sl, lipschitz=1.0).sigma == 6.0
+    assert SliceBandit(CountingBandit(Bandit()), sl, 1.0).sigma == 1.0
+
+
 class _Recorder(Bandit):
     dimension = 2
 

@@ -199,6 +199,28 @@ def test_toy_objective_shape():
     assert toy_objective(0.05) == pytest.approx(staircase(0.05))
 
 
+def _formula_toy_objective(x):
+    # the objective evaluated from smooth_profile on every call
+    x = float(np.squeeze(np.asarray(x, dtype=np.float64)))
+    x_star = smooth_minimizer()
+    wedge = float(smooth_profile(x_star)) + WEDGE_SLOPE * abs(x - x_star)
+    step = float(smooth_profile(staircase_cell(x) / toy.N_CELLS))
+    return min(step, wedge)
+
+
+def test_tabulated_toy_objective_is_bitwise_the_formula():
+    x_star = smooth_minimizer()
+    edges = (np.arange(toy.N_CELLS + 1) - 0.5) / toy.N_CELLS
+    xs = np.concatenate([
+        np.linspace(0.0, 1.0, 20001), edges,
+        np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [x_star, np.nextafter(x_star, 0.0), np.nextafter(x_star, 1.0)]])
+    for x in xs[(xs >= 0.0) & (xs <= 1.0)].tolist():
+        assert toy_objective(x).hex() == _formula_toy_objective(x).hex()
+        assert staircase(x).hex() == float(
+            smooth_profile(staircase_cell(x) / toy.N_CELLS)).hex()
+
+
 def test_run_toy_rr_writes_expected_schema(tmp_path):
     spec = RunSpec()
     spec.set("run", "seeds", "0,1")

@@ -65,6 +65,20 @@ def test_line_search_probes_incumbent_plus_grid():
     assert res.samples_used == 16 * rr.samples_per_arm(1, cfg.delta, 16)
 
 
+def test_line_pulls_and_incumbent_pulls_follow_the_noise_scale():
+    parent = CountingBandit(quadratic_bandit([0.3, 0.5], sigma=6.0))
+    sl = LinearSlice((0.0, 0.5), (1.0, 0.0))
+    cfg = DriverConfig(max_steps=1)
+    n = rr.samples_per_arm(1, cfg.delta, 16, 6.0)
+    assert n > 35 * rr.samples_per_arm(1, cfg.delta, 16)
+    res = rr_line_search(parent, sl, cfg, SeededRng(0), incumbent_value=0.4)
+    assert res.samples_used == 16 * n
+    parent.count = 0
+    res = powell_driver(parent, np.array([0.5, 0.5]), cfg, SeededRng(0))
+    # the start estimate takes a depth-1 arm's count, then one line
+    assert res.samples_used == parent.count == 17 * n
+
+
 def test_line_search_arm_count_scales_with_direction_norm():
     parent = quadratic_bandit([0.3, 0.5], sigma=1.0)
     cfg = DriverConfig()

@@ -71,6 +71,19 @@ def test_samples_per_arm_floors_at_one_for_huge_delta():
     assert rr.samples_per_arm(1, 1e9, 1) == 1
 
 
+def test_samples_per_arm_scales_with_noise_above_one():
+    base = rr.samples_per_arm(2, 0.1, 32)
+    # sigma <= 1 noise is also 1-sub-Gaussian: the same count
+    for sigma in (0.0, 0.5, 1.0):
+        assert rr.samples_per_arm(2, 0.1, 32, sigma) == base
+    assert rr.samples_per_arm(2, 0.1, 32, 6.0) == math.ceil(
+        2.0 * 36.0 * math.log(2.0 / (0.1 / (4 * 32))) / rr.ci_half_width(2) ** 2)
+    assert 35 * base < rr.samples_per_arm(2, 0.1, 32, 6.0) <= 36 * base
+    for bad in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            rr.samples_per_arm(2, 0.1, 32, bad)
+
+
 def test_dyadic_depth():
     assert rr.dyadic_depth(0.5) == 1
     assert rr.dyadic_depth(2.0 ** -7) == 7
@@ -109,6 +122,15 @@ def test_zero_noise_wedge_round1_frozen():
     assert rec.excluded == IntervalSet([(0.0, 1.0 / 16.0),
                                         (15.0 / 16.0, 1.0)])
     assert state.surviving == IntervalSet([(1.0 / 16.0, 15.0 / 16.0)])
+
+
+def test_round_pulls_follow_the_bandit_noise_scale():
+    cfg = rr.RRConfig(0.5, 0.1)
+    for sigma in (0.5, 6.0):
+        state = rr.run_round(rr.RRState(), _wedge_bandit(sigma), cfg,
+                             SeededRng(0))
+        assert state.trace[0].pulls_per_arm == rr.samples_per_arm(
+            1, 0.1, 16, sigma)
 
 
 def test_constant_objective_excludes_nothing():
