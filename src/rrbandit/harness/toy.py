@@ -78,7 +78,8 @@ def _wedge_base():
 
 def toy_objective(x):
     """min(staircase, wedge): the wedge re-exposes the true minimizer."""
-    x = float(np.squeeze(np.asarray(x, dtype=np.float64)))
+    if type(x) is not float:  # pulls pass floats; skip numpy for them
+        x = float(np.squeeze(np.asarray(x, dtype=np.float64)))
     x_star = smooth_minimizer()
     wedge = _wedge_base() + WEDGE_SLOPE * abs(x - x_star)
     return min(staircase(x), wedge)

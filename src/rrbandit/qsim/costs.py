@@ -14,20 +14,32 @@ import numpy as np
 
 from ..bandits import Bandit
 from .graphs import cut_values
-from .statevector import (apply_cz, apply_hadamard, apply_phase,
+# no circuit calls apply_hadamard or apply_cz; perfbench patches them here
+from .statevector import (apply_cz, apply_hadamard, apply_phase,  # noqa: F401
                           apply_rotation, batch_size, probabilities,
                           zero_state)
 
 TWO_PI = 2.0 * math.pi
 
 
+def _ones(values, n):
+    """Number of one bits among the low n bits of each value."""
+    ones = np.zeros(values.shape, dtype=np.int64)
+    for b in range(n):
+        ones += (values >> b) & 1
+    return ones
+
+
 def zeros_fractions(n):
     """Fraction of zero bits in each n-bit basis state."""
+    return (n - _ones(np.arange(1 << n, dtype=np.int64), n)) / n
+
+
+def cz_chain_signs(n):
+    """Diagonal of CZ on every neighbor pair (q, q + 1) of n qubits:
+    (-1)^(number of neighbor pairs whose bits are both 1), as float64."""
     idx = np.arange(1 << n, dtype=np.int64)
-    ones = np.zeros(1 << n, dtype=np.int64)
-    for b in range(n):
-        ones += (idx >> b) & 1
-    return (n - ones) / n
+    return 1.0 - 2.0 * (_ones(idx & (idx >> 1), n - 1) & 1)
 
 
 def expected_reward(probs, rewards):
@@ -35,6 +47,16 @@ def expected_reward(probs, rewards):
     num = math.fsum((probs * rewards).tolist())
     den = math.fsum(probs.tolist())
     return num / den
+
+
+def uniform_amplitude(n):
+    """Every amplitude of H on each of n qubits of |0...0>, with the bits
+    the Hadamard kernel gives: h * (h * (... * 1)) for h = 1/sqrt(2)."""
+    h = complex(1.0 / math.sqrt(2.0))
+    amplitude = 1.0 + 0j
+    for _ in range(n):
+        amplitude = h * amplitude
+    return amplitude
 
 
 class _ShotBandit(Bandit):
@@ -96,6 +118,9 @@ class PqcBandit(_ShotBandit):
     1 - (#zero bits)/n, so the all-zero state costs 0. Layer count
     defaults to the qubit count. lipschitz is advisory for line-search
     grids; it is not validated against the true smoothness.
+
+    Both gates are real, so the state is simulated as float64, and each
+    layer's CZ chain is one multiply by its +-1 diagonal, built once.
     """
 
     def __init__(self, n, layers=None, lipschitz=0.5):
@@ -106,17 +131,17 @@ class PqcBandit(_ShotBandit):
         self.dimension = self.n * self.layers
         self.lipschitz = float(lipschitz)
         self.rewards = 1.0 - zeros_fractions(self.n)
+        self.cz_signs = cz_chain_signs(self.n)
 
     def state(self, params):
-        state = zero_state(self.n, params.shape[:-1])
+        state = zero_state(self.n, params.shape[:-1], dtype=np.float64)
         angles = TWO_PI * params
         k = 0
         for _ in range(self.layers):
             for q in range(self.n):
                 apply_rotation(state, q, "y", angles[..., k])
                 k += 1
-            for q in range(self.n - 1):
-                apply_cz(state, q, q + 1)
+            state *= self.cz_signs
         return state
 
 
@@ -127,6 +152,10 @@ class QaoaBandit(_ShotBandit):
     2*pi. A layer applies the cut-count diagonal phase exp(-i gamma C)
     then the transverse mixer exp(-i beta X) on every qubit. The shot
     reward for bitstring z is 1 - cut(z)/maxcut, so an optimal cut costs 0.
+
+    The circuit starts from H on every qubit of |0...0>, whose amplitudes
+    are all the same number, so the state is filled with that number
+    instead of running n Hadamard passes; the bits are the same.
     """
 
     def __init__(self, graph, layers=2, lipschitz=0.5):
@@ -144,14 +173,14 @@ class QaoaBandit(_ShotBandit):
         self.maxcut = int(self.cuts.max())
         self.levels = np.arange(self.maxcut + 1, dtype=np.float64)
         self.rewards = 1.0 - self.cuts / self.maxcut
+        self.uniform = uniform_amplitude(graph.n)
 
     def state(self, params):
         p = self.layers
         gammas = TWO_PI * params[..., :p]
         betas = TWO_PI * params[..., p:]
-        state = zero_state(self.graph.n, params.shape[:-1])
-        for q in range(self.graph.n):
-            apply_hadamard(state, q)
+        state = np.full(params.shape[:-1] + self.cuts.shape,
+                        self.uniform, dtype=np.complex128)
         for layer in range(p):
             apply_phase(state, self.levels, self.cuts, gammas[..., layer])
             # exp(-i beta X) is an x-rotation by 2*beta on every qubit

@@ -6,6 +6,14 @@ that run the same circuit with per-state angles. Gate functions mutate the
 array in place and return it. A gate that takes an angle accepts one float
 for every state or, on a batch, an array of k angles.
 
+A circuit of real gates keeps a real state real, so it may be simulated
+as a float64 array (zero_state(n, dtype=np.float64)). Such a state takes
+y-rotations, apply_cz and probabilities; apply_rotation raises ValueError
+for an x or z axis on it, which would drop the imaginary parts. The other
+gates need a complex state. On a complex state whose imaginary parts are
+all zero, the kernel's real parts are the real products plus zeros, so the
+float64 state has the same real parts and the same probability bits.
+
 There is one kernel path, plain numpy. A gate on qubit q works on the view
 reshape(k, 2^(n-1-q), 2, 2^q), whose third axis is that qubit's bit, so
 one call updates every state of a batch. Each amplitude sees the same
@@ -40,11 +48,11 @@ BATCH_BYTES = 128 * 1024
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-def zero_state(n, batch=()):
+def zero_state(n, batch=(), dtype=np.complex128):
     """|0...0> on n qubits; batch=(k,) gives k copies as a (k, 2^n) array."""
     if int(n) != n or not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
-    state = np.zeros(tuple(batch) + (1 << n,), dtype=np.complex128)
+    state = np.zeros(tuple(batch) + (1 << n,), dtype=dtype)
     state[..., 0] = 1.0
     return state
 
@@ -95,7 +103,7 @@ def _rotation_entries(axis, angle):
     if axis == "x":
         return (complex(c), complex(0.0, -s), complex(0.0, -s), complex(c))
     if axis == "y":
-        return (complex(c), complex(-s), complex(s), complex(c))
+        return (c, -s, s, c)
     return (complex(c, -s), 0j, 0j, complex(c, s))
 
 
@@ -103,7 +111,8 @@ def apply_rotation(state, qubits, axis, angle):
     """exp(-i * angle * P / 2) for the Pauli P named by axis ('x', 'y', 'z'),
     on one qubit or on each of a sequence of qubits in turn.
 
-    The matrix entries are built once and shared by every qubit.
+    The matrix entries are built once, in the state's dtype, and shared by
+    every qubit. A real state takes only the real y-rotation.
     """
     # hasattr, not np.ndim, which costs about 2 us on an int: the PQC
     # ansatz makes one call per qubit and layer
@@ -112,7 +121,10 @@ def apply_rotation(state, qubits, axis, angle):
         _check_qubit(state, qubit)
     if axis not in ("x", "y", "z"):
         raise ValueError("axis must be 'x', 'y' or 'z'")
-    m = np.array([_rotation_entries(axis, a) for a in _angles(state, angle)])
+    if axis != "y" and not np.iscomplexobj(state):
+        raise ValueError(f"a real state cannot take a rotation about {axis}")
+    m = np.array([_rotation_entries(axis, a) for a in _angles(state, angle)],
+                 dtype=state.dtype)
     entries = m.T.reshape(4, -1, 1, 1)
     for qubit in qubits:
         _apply_1q(state, *entries, int(qubit))

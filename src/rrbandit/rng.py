@@ -105,6 +105,11 @@ class SeededRng:
         return [_Stream(shared, *_pcg64_seed(*s)) for s in seeds]
 
     def __getattr__(self, name):
+        # copy and pickle build the object without __init__ and then look
+        # up __setstate__: a private or slot name is never the generator's,
+        # and reading the unset _gen slot here would recurse
+        if name.startswith("_") or name in SeededRng.__slots__:
+            raise AttributeError(name)
         gen = self._gen
         if gen is None:
             gen = self._gen = np.random.default_rng(

@@ -17,7 +17,7 @@ from rrbandit.qsim import (Graph, MAX_QUBITS, PqcBandit, QaoaBandit,
                            cut_values, erdos_renyi, expected_reward,
                            maxcut_bruteforce, norm, num_qubits, path_graph,
                            probabilities, zero_state, zeros_fractions)
-from rrbandit.qsim.costs import TWO_PI
+from rrbandit.qsim.costs import TWO_PI, cz_chain_signs, uniform_amplitude
 from rrbandit.qsim.statevector import batch_size
 from rrbandit.rng import SeededRng
 
@@ -208,6 +208,22 @@ def test_gate_argument_validation():
         apply_phase(batch, np.zeros(4), np.arange(4), np.zeros(2))
 
 
+def test_real_state_takes_only_y_rotations():
+    """An x or z rotation would drop a real state's imaginary parts."""
+    for batch, angle in (((), 0.3), ((3,), np.array([0.3, -1.2, 2.0]))):
+        psi = zero_state(2, batch, dtype=np.float64)
+        for axis in ("x", "z"):
+            with pytest.raises(ValueError):
+                apply_rotation(psi, 0, axis, angle)
+            with pytest.raises(ValueError):
+                apply_rotation(psi, [0, 1], axis, angle)
+        assert np.array_equal(psi, zero_state(2, batch, dtype=np.float64))
+        got = apply_rotation(psi, [1, 0], "y", angle)
+        assert got.dtype == np.float64
+        expect = apply_rotation(zero_state(2, batch), [1, 0], "y", angle)
+        assert got.tobytes() == expect.real.tobytes()
+
+
 def test_norm_conserved_by_random_gates():
     rng = SeededRng(14)
     psi = random_state(6, rng)
@@ -299,6 +315,59 @@ def test_qaoa_state_matches_the_per_qubit_circuit(n):
                    rng.random((16, bandit.dimension))):
         assert (bandit.state(points).tobytes()
                 == reference_qaoa_state(bandit, points).tobytes())
+
+
+def test_uniform_start_is_bitwise_the_hadamard_layer():
+    """QaoaBandit's filled start equals H on every qubit of |0...0>."""
+    for n in range(1, 15):
+        for batch in ((), (16,)):
+            expect = zero_state(n, batch)
+            for q in range(n):
+                apply_hadamard(expect, q)
+            got = np.full(batch + (1 << n,), uniform_amplitude(n),
+                          dtype=np.complex128)
+            assert got.tobytes() == expect.tobytes()
+
+
+def reference_pqc_state(bandit, params):
+    """PQC circuit gate by gate on a complex state: one y-rotation call per
+    qubit, then one apply_cz call per neighbor pair."""
+    state = zero_state(bandit.n, params.shape[:-1])
+    angles = TWO_PI * params
+    k = 0
+    for _ in range(bandit.layers):
+        for q in range(bandit.n):
+            apply_rotation(state, q, "y", angles[..., k])
+            k += 1
+        for q in range(bandit.n - 1):
+            apply_cz(state, q, q + 1)
+    return state
+
+
+def test_cz_chain_signs_are_the_cz_chain_diagonal():
+    for n in range(1, 11):
+        expect = np.ones(1 << n, dtype=np.complex128)
+        for q in range(n - 1):
+            apply_cz(expect, q, q + 1)
+        assert cz_chain_signs(n).tobytes() == expect.real.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_real_pqc_state_matches_the_complex_per_gate_circuit(n):
+    """The float64 state with one sign multiply per layer is bitwise the
+    real part of the complex circuit, whose imaginary parts are all zero,
+    and gives the same probability bits; n = 1 has no CZ."""
+    bandit = PqcBandit(n, layers=3)
+    rng = SeededRng(110 + n)
+    for points in (rng.random(bandit.dimension),
+                   rng.random((16, bandit.dimension))):
+        state = bandit.state(points)
+        assert state.dtype == np.float64
+        expect = reference_pqc_state(bandit, points)
+        assert not np.any(expect.imag)
+        assert state.tobytes() == expect.real.tobytes()
+        assert (probabilities(state).tobytes()
+                == probabilities(expect).tobytes())
 
 
 def test_sample_means_validation():

@@ -1,5 +1,8 @@
 """Seeded stream derivation: order independence and key addressing."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,29 @@ def test_negative_seed_or_key_rejected():
 
 def test_repr_names_seed_and_key():
     assert "seed=7" in repr(SeededRng(7, key=(4,)))
+
+
+@pytest.mark.parametrize("clone", [
+    lambda rng: pickle.loads(pickle.dumps(rng)), copy.deepcopy, copy.copy,
+], ids=["pickle", "deepcopy", "copy"])
+def test_copied_stream_draws_the_bits_of_the_original(clone):
+    original = SeededRng(3, (1,))
+    copied = clone(original)
+    assert repr(copied) == repr(original)
+    assert (copied.child(2).random(4).tobytes()
+            == original.child(2).random(4).tobytes())
+    assert copied.random(6).tobytes() == original.random(6).tobytes()
+
+
+@pytest.mark.parametrize("clone", [
+    lambda rng: pickle.loads(pickle.dumps(rng)), copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+def test_copy_of_a_drawn_stream_continues_where_it_stopped(clone):
+    original = SeededRng(3, (1,))
+    original.random(5)
+    copied = clone(original)
+    assert copied.standard_normal(6).tobytes() == original.standard_normal(
+        6).tobytes()
 
 
 def test_child_of_undrawn_parent_matches_child_of_drawn_parent():
