@@ -119,8 +119,9 @@ class PqcBandit(_ShotBandit):
     defaults to the qubit count. lipschitz is advisory for line-search
     grids; it is not validated against the true smoothness.
 
-    Both gates are real, so the state is simulated as float64, and each
-    layer's CZ chain is one multiply by its +-1 diagonal, built once.
+    Both gates are real, so the state is simulated as float64. Each layer's
+    rotations are one apply_rotation call with per-qubit angles, and its CZ
+    chain is one multiply by its +-1 diagonal, built once.
     """
 
     def __init__(self, n, layers=None, lipschitz=0.5):
@@ -136,11 +137,9 @@ class PqcBandit(_ShotBandit):
     def state(self, params):
         state = zero_state(self.n, params.shape[:-1], dtype=np.float64)
         angles = TWO_PI * params
-        k = 0
-        for _ in range(self.layers):
-            for q in range(self.n):
-                apply_rotation(state, q, "y", angles[..., k])
-                k += 1
+        qubits = range(self.n)
+        for k in range(0, self.dimension, self.n):
+            apply_rotation(state, qubits, "y", angles[..., k:k + self.n])
             state *= self.cz_signs
         return state
 

@@ -193,7 +193,13 @@ class _SharedGenerator:
 
 
 class _Stream:
-    """One stream of a children() set; see SeededRng.children."""
+    """One stream of a children() set; see SeededRng.children.
+
+    A copy (copy.copy, copy.deepcopy or pickle) carries its own copy of the
+    set's shared generator: it draws what the original would draw next,
+    and drawing from either leaves the other as it was. A copy of a spent
+    stream is spent.
+    """
 
     __slots__ = ("_shared", "_state", "_inc", "_started")
 
@@ -203,7 +209,16 @@ class _Stream:
         self._inc = inc
         self._started = False
 
+    def __reduce__(self):
+        shared = self._shared
+        held = shared.gen.bit_generator.state if shared.owner is self else None
+        return _copied_stream, (self._state, self._inc, self._started, held)
+
     def __getattr__(self, name):
+        # copy and pickle look up special names on the instance: a private
+        # name is never the generator's, and must not take it over
+        if name.startswith("_"):
+            raise AttributeError(name)
         shared = self._shared
         if shared.owner is not self:
             if self._started:
@@ -217,3 +232,14 @@ class _Stream:
             shared.owner = self
             self._started = True
         return getattr(shared.gen, name)
+
+
+def _copied_stream(state, inc, started, held):
+    """A stream with a generator of its own; held is the generator state of
+    a stream that holds its set's generator, else None."""
+    stream = _Stream(_SharedGenerator(), state, inc)
+    stream._started = started
+    if held is not None:
+        stream._shared.gen.bit_generator.state = held
+        stream._shared.owner = stream
+    return stream

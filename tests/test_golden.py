@@ -39,6 +39,10 @@ RUNS = {
     "qaoa-rr_powell-wide": ("vqa", "qaoa", {
         "run.optimizer": "rr_powell", "run.sizes": "12",
         "run.seeds": "0", "run.budget": "1000000"}),
+    # a PQC as wide as the pqc-spsa benchmark's
+    "pqc-spsa-wide": ("vqa", "pqc", {
+        "run.optimizer": "spsa", "run.sizes": "12", "run.seeds": "0..1",
+        "optimizer.max_iters": "3"}),
 }
 
 GOLDEN = {
@@ -57,6 +61,12 @@ GOLDEN = {
             "c2ed84212b54fb270c368cab281ce73fb99cf54a6d1220e1cbfc0913013c2faf",
         "runs.csv":
             "1a0d894b88e33e0412c39864d31440f71e25056417fedf583cb7fa4426123aa0",
+    },
+    "pqc-spsa-wide": {
+        "aggregate.csv":
+            "40ca8bbb6b6c7134a700569f662d470bcffe601d0e6381ab9ad8e811609c00f4",
+        "runs.csv":
+            "1772e71155df320e63e14351280ebeeb7b26b0e89a323c561559614aad78b369",
     },
     "qaoa-powell_brent": {
         "aggregate.csv":

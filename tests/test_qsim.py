@@ -188,6 +188,51 @@ def test_rotation_on_qubit_sequence_matches_per_qubit_calls():
             assert got.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_per_qubit_angles_match_one_call_per_qubit(n):
+    """A sequence call with one angle per state and qubit equals one
+    single-qubit call per qubit in that order, bitwise: real and complex
+    states, one state and 16, ascending, descending and repeated qubits.
+    The sequence call runs its low qubits on a transposed copy, the
+    single-qubit calls in place."""
+    rng = SeededRng(200 + n)
+    sequences = (list(range(n)), list(range(n - 1, -1, -1)),
+                 rng.integers(0, n, size=2 * n).tolist())
+    for batch in ((), (16,)):
+        for axis, dtype in (("x", np.complex128), ("y", np.complex128),
+                            ("z", np.complex128), ("y", np.float64)):
+            shape = batch + (1 << n,)
+            state = rng.standard_normal(shape)
+            if dtype == np.complex128:
+                state = state + 1j * rng.standard_normal(shape)
+            for qubits in sequences:
+                angles = rng.uniform(-7.0, 7.0, batch + (len(qubits),))
+                expect = state.copy()
+                for j, q in enumerate(qubits):
+                    apply_rotation(expect, q, axis, angles[..., j])
+                got = apply_rotation(state.copy(), qubits, axis, angles)
+                assert got.dtype == dtype
+                assert got.tobytes() == expect.tobytes()
+
+
+def test_per_qubit_angle_validation():
+    """Per-qubit angles need shape state.shape[:-1] + (len(qubits),), and a
+    real state refuses them for an x or z rotation."""
+    for batch in ((), (3,)):
+        psi = zero_state(4, batch)
+        for wrong in (batch + (3,), batch + (1,)):
+            with pytest.raises(ValueError):
+                apply_rotation(psi, [0, 1], "x", np.zeros(wrong))
+        real = zero_state(4, batch, dtype=np.float64)
+        for axis in ("x", "z"):
+            with pytest.raises(ValueError):
+                apply_rotation(real, [0, 3], axis, np.full(batch + (2,), 0.4))
+        assert np.array_equal(psi, zero_state(4, batch))
+        assert np.array_equal(real, zero_state(4, batch, dtype=np.float64))
+    with pytest.raises(ValueError):  # per qubit, then per state
+        apply_rotation(zero_state(4, (3,)), [0, 1], "x", np.zeros((2, 3)))
+
+
 def test_gate_argument_validation():
     psi = zero_state(2)
     with pytest.raises(ValueError):

@@ -168,3 +168,48 @@ def test_children_refuse_keys_outside_one_word(keys):
 def test_children_refuse_negative_prefix():
     with pytest.raises(ValueError):
         SeededRng(0).children((-1,), [0])
+
+
+CLONES = [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy]
+CLONE_IDS = ["pickle", "deepcopy", "copy"]
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
+@pytest.mark.parametrize("drawn", [False, True], ids=["undrawn", "drawn"])
+def test_copied_children_stream_draws_what_the_original_draws_next(
+        clone, drawn):
+    parent = SeededRng(5)
+    a, b = parent.children((2,), [0, 1])
+    if drawn:
+        a.random(3)
+    copied = clone(a)
+    expect = parent.child(2, 0)
+    if drawn:
+        expect.random(3)
+    # the copy has a generator of its own, so a sibling's draws and the
+    # original's own draws leave it where it was
+    b.random(2)
+    assert _draws(copied).tobytes() == _draws(expect).tobytes()
+    if not drawn:
+        assert _draws(a).tobytes() == _draws(parent.child(2, 0)).tobytes()
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
+def test_copy_of_a_held_stream_leaves_the_original_its_place(clone):
+    parent = SeededRng(8)
+    (a,) = parent.children((4,), [7])
+    a.random(2)
+    copied = clone(a)
+    expect = parent.child(4, 7).random(8)
+    assert copied.random(6).tobytes() == expect[2:].tobytes()
+    assert a.random(6).tobytes() == expect[2:].tobytes()
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
+def test_copy_of_a_spent_children_stream_is_spent(clone):
+    a, b = SeededRng(6).children((1,), [0, 1])
+    a.random()
+    b.random()
+    copied = clone(a)
+    with pytest.raises(RuntimeError):
+        copied.random()
