@@ -14,12 +14,14 @@ class Bandit:
     average from a sufficient statistic (a Gaussian mean, a shot
     histogram) rather than pull by pull.
 
-    sample_means(points, n, rngs) pulls every point n times, point j from
-    its own stream rngs[j], and returns the averages as a float64 array.
-    It must return exactly what sample_mean(points[j], n, rngs[j]) would,
-    so results do not depend on which points share a call. The default
-    loops over sample_mean; sources that can serve many points at once
-    (the circuit bandits simulate them as one batch) override it.
+    sample_means(points, n, rng) pulls every point n times, drawing all
+    of them from the one stream rng in point order, and returns the
+    averages as a float64 array. It must return exactly what sample_mean
+    called on each point in order on the same rng would return, so
+    batching never changes a draw; a point's draws depend on the points
+    before it in the call. The default loops over sample_mean; sources
+    that can serve many points at once (one normal draw for all of them,
+    or the circuit bandits' simulated batches) override it.
 
     sigma is the noise scale: one pull minus its mean is
     sigma-sub-Gaussian. Elimination scales its pull counts by it, so a
@@ -36,9 +38,8 @@ class Bandit:
     def sample_mean(self, x, n, rng):
         raise NotImplementedError
 
-    def sample_means(self, points, n, rngs):
-        return np.array([self.sample_mean(x, n, rng)
-                         for x, rng in zip(points, rngs, strict=True)],
+    def sample_means(self, points, n, rng):
+        return np.array([self.sample_mean(x, n, rng) for x in points],
                         dtype=np.float64)
 
 
@@ -49,6 +50,8 @@ class GaussianBandit(Bandit):
     The n-pull empirical mean is drawn in one shot as N(mean, sigma^2/n),
     which is the exact distribution of the average, so large pull counts
     cost one rng call. Budget accounting still counts n pulls per call.
+    sample_means draws the noise of all its points with one
+    standard_normal(k) call, which gives the bits of k scalar calls.
     """
 
     def __init__(self, mean_fn, lipschitz=1.0, sigma=1.0, dimension=1):
@@ -69,6 +72,17 @@ class GaussianBandit(Bandit):
         if self.sigma == 0.0:
             return self.mean(x)
         return self.mean(x) + self.sigma * rng.standard_normal() / math.sqrt(n)
+
+    def sample_means(self, points, n, rng):
+        n = int(n)
+        if n < 1:
+            raise ValueError("need at least one pull")
+        # scalar means keep sample_mean's operand order bit for bit
+        means = np.array([self.mean(x) for x in points], dtype=np.float64)
+        if self.sigma == 0.0:
+            return means
+        z = rng.standard_normal(means.size)
+        return means + self.sigma * z / math.sqrt(n)
 
 
 class CountingBandit(Bandit):
@@ -91,6 +105,6 @@ class CountingBandit(Bandit):
         self.count += int(n)
         return self.inner.sample_mean(x, n, rng)
 
-    def sample_means(self, points, n, rngs):
+    def sample_means(self, points, n, rng):
         self.count += int(n) * len(points)
-        return self.inner.sample_means(points, n, rngs)
+        return self.inner.sample_means(points, n, rng)

@@ -62,9 +62,9 @@ class SliceBandit(Bandit):
     def sample_mean(self, s, n, rng):
         return self.parent.sample_mean(self.slice.point(s), n, rng)
 
-    def sample_means(self, points, n, rngs):
+    def sample_means(self, points, n, rng):
         return self.parent.sample_means(
-            [self.slice.point(s) for s in points], n, rngs)
+            [self.slice.point(s) for s in points], n, rng)
 
 
 @dataclass(frozen=True)

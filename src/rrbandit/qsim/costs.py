@@ -86,27 +86,31 @@ class _ShotBandit(Bandit):
         return expected_reward(probs, self.rewards)
 
     def sample_mean(self, params, n, rng):
-        return float(self.sample_means([params], n, [rng])[0])
+        return float(self.sample_means([params], n, rng)[0])
 
-    def sample_means(self, points, n, rngs):
-        """Average reward of n shots at each point, point j drawing from rngs[j].
+    def sample_means(self, points, n, rng):
+        """Average reward of n shots at each point, all drawn from rng.
 
         The states of up to batch_size(self.rewards.size) points are
         simulated as one batch. Each point's outcome histogram is one
         multinomial over its own probability vector, which has exactly the
-        distribution of n individual shots.
+        distribution of n individual shots. A batch's histograms are one
+        2-d multinomial call, which draws row after row as per-point calls
+        on the same stream would; each row is scored by its own 1-d dot
+        product, so the result does not depend on the batch shape.
         """
         n = int(n)
         if n < 1:
             raise ValueError("need at least one shot")
-        params = self._params(points, (len(rngs), self.dimension))
-        out = np.empty(len(rngs), dtype=np.float64)
+        params = self._params(points, (len(points), self.dimension))
+        out = np.empty(len(params), dtype=np.float64)
         chunk = batch_size(self.rewards.size)
-        for lo in range(0, len(rngs), chunk):
-            states = self.state(params[lo:lo + chunk])
-            for j, probs in enumerate(probabilities(states), start=lo):
-                counts = rngs[j].multinomial(n, probs / probs.sum())
-                out[j] = float(counts @ self.rewards) / n
+        for lo in range(0, len(params), chunk):
+            probs = probabilities(self.state(params[lo:lo + chunk]))
+            counts = rng.multinomial(
+                n, probs / probs.sum(axis=1, keepdims=True))
+            for j, row in enumerate(counts, start=lo):
+                out[j] = float(row @ self.rewards) / n
         return out
 
 

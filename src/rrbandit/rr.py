@@ -9,6 +9,9 @@ D = log2(1/epsilon) rounds the best arm over all rounds is recommended,
 which locates the minimizer to within epsilon with probability 1 - delta
 for unimodal L-Lipschitz means under sigma-sub-Gaussian noise (pull
 counts scale by max(1, sigma)^2, taken from the bandit's sigma).
+
+Round t draws all of its pulls from one stream, rng.child(t), arm after
+arm in grid order, so the seed fixes every draw.
 """
 
 import math
@@ -143,10 +146,11 @@ def active_mask(surviving, points):
 def run_round(state, bandit, cfg, rng, budget=None):
     """Execute round state.round + 1 and return the successor state.
 
-    The surviving grid arms are pulled in one sample_means call, arm k
-    from the stream rng.child(t, k) (derived for all arms at once by
-    rng.children), so results do not depend on sampling order or on how
-    the bandit batches the arms. If the round's total pull count would
+    The surviving grid arms are pulled in one sample_means call that
+    draws every arm, in grid order, from the round's one stream
+    rng.child(t). An arm's draws therefore depend on the arms before it in
+    its round, and the seed still fixes them all; how the bandit batches
+    the arms never changes a draw. If the round's total pull count would
     exceed the remaining budget, the state is returned unchanged except
     for the budget_exhausted flag.
     """
@@ -163,8 +167,7 @@ def run_round(state, bandit, cfg, rng, budget=None):
         return replace(state, budget_exhausted=True)
 
     locations = points[idx]
-    values = bandit.sample_means(locations.tolist(), n_t,
-                                 rng.children((t,), idx))
+    values = bandit.sample_means(locations.tolist(), n_t, rng.child(t))
 
     best_j = int(np.argmin(values))  # ties resolve to the smallest location
     best = ArmEstimate(t, float(locations[best_j]), float(values[best_j]), n_t)

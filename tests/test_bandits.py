@@ -58,21 +58,43 @@ def test_counting_bandit_passes_values_through():
     assert c.mean(0.0) == 2.0
 
 
+class _Uniform(Bandit):
+    """Defines only sample_mean, so sample_means is the base loop."""
+
+    def sample_mean(self, x, n, rng):
+        return 3.0 * x + rng.random() / n
+
+
 def test_base_sample_means_loops_sample_mean():
-    b = GaussianBandit(lambda x: 3.0 * x, sigma=1.0)
+    b = _Uniform()
     points = [0.1, 0.5, 0.9]
-    got = b.sample_means(points, 7, [SeededRng(5).child(j) for j in range(3)])
-    expect = [b.sample_mean(x, 7, SeededRng(5).child(j))
-              for j, x in enumerate(points)]
+    got = b.sample_means(points, 7, SeededRng(5))
+    stream = SeededRng(5)
+    expect = [b.sample_mean(x, 7, stream) for x in points]
     assert got.dtype == np.float64
     assert got.tolist() == expect
-    with pytest.raises(ValueError):  # one stream per point
-        b.sample_means(points, 7, [SeededRng(5)])
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 6.0])
+def test_gaussian_sample_means_match_looped_sample_mean(sigma):
+    """One standard_normal(k) call gives the bits of k sample_mean calls
+    on the same stream, for every batch size up to a large round's."""
+    b = GaussianBandit(lambda x: abs(x - 0.37), sigma=sigma)
+    root = SeededRng(17)
+    for k in (1, 2, 16, 257, 2048):
+        points = root.child(k).random(k).tolist()
+        got = b.sample_means(points, 11, root.child(k, 0))
+        stream = root.child(k, 0)
+        expect = [b.sample_mean(x, 11, stream) for x in points]
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(expect).tobytes()
+    with pytest.raises(ValueError):
+        b.sample_means([0.5], 0, root)
 
 
 def test_counting_bandit_ledgers_batched_pulls():
     c = CountingBandit(GaussianBandit(lambda x: 0.0, sigma=0.0))
-    c.sample_means([0.1, 0.2, 0.3, 0.4], 17, [SeededRng(j) for j in range(4)])
+    c.sample_means([0.1, 0.2, 0.3, 0.4], 17, SeededRng(0))
     assert c.count == 4 * 17
 
 
@@ -91,7 +113,7 @@ class _Recorder(Bandit):
     def __init__(self):
         self.points = []
 
-    def sample_means(self, points, n, rngs):
+    def sample_means(self, points, n, rng):
         self.points.extend(np.asarray(p).tolist() for p in points)
         return np.zeros(len(points))
 
@@ -100,7 +122,6 @@ def test_slice_bandit_maps_points_and_forwards_them():
     parent = _Recorder()
     sl = LinearSlice((0.5, 0.25), (1.0, 0.5), "periodic")
     line = SliceBandit(parent, sl, lipschitz=1.0)
-    out = line.sample_means([0.0, 0.25, 0.75], 3,
-                            [SeededRng(j) for j in range(3)])
+    out = line.sample_means([0.0, 0.25, 0.75], 3, SeededRng(0))
     assert out.tolist() == [0.0, 0.0, 0.0]
     assert parent.points == [sl.point(s).tolist() for s in (0.0, 0.25, 0.75)]

@@ -54,13 +54,13 @@ GOLDEN = {
         "aggregate.csv":
             "2c83921bb599a8df594fdb1a6f13dc95f011ff4af5716e5cce07edddbb464e2a",
         "runs.csv":
-            "ae26faccf610985150f3bff8618edbb12803cea457915a2be087ddb564630d3d",
+            "3e3489151e91d7664325ffd7b0a70f17403ad38a2058eb163e2b6cb1b228897c",
     },
     "pqc-rr_reject": {
         "aggregate.csv":
             "c2ed84212b54fb270c368cab281ce73fb99cf54a6d1220e1cbfc0913013c2faf",
         "runs.csv":
-            "1a0d894b88e33e0412c39864d31440f71e25056417fedf583cb7fa4426123aa0",
+            "20263398eeea54a3d20c4f2227ff7e47d7ef6ad66c221e154f2f04485acd30e6",
     },
     "pqc-spsa-wide": {
         "aggregate.csv":
@@ -76,15 +76,15 @@ GOLDEN = {
     },
     "qaoa-rr_powell": {
         "aggregate.csv":
-            "92b7932a2ae3af30ab0e8d03b15440aa01f42196d74f65ef49e108016c968077",
+            "e78a4dd48eb29dd56ea78ef5c76c037845654373d4e122fd682f4067f09fb24e",
         "runs.csv":
-            "469005b640efd369105f1fd8bf2df024ddcf25b8d6cdbbd854b563831fd84fe0",
+            "745d904737bd884cd129ceaf05062967af0ed55229438bc6ec1f835ac8651da2",
     },
     "qaoa-rr_powell-wide": {
         "aggregate.csv":
             "419ce1f8b4585f0c347d997dc3361930d6b8f44a8437a67ae106dd7004044aed",
         "runs.csv":
-            "e58c690f2397ff4855658fe6e5fd58c017f139cbd313f01130eb1bdd35e83cc9",
+            "1129300e3850b5971ba32ffe1a029efac4d37b520d1510011e13bd6389c2d2c3",
     },
     "qaoa-spsa": {
         "aggregate.csv":
@@ -94,9 +94,9 @@ GOLDEN = {
     },
     "toy-rr": {
         "runs.csv":
-            "ba4c6dfde38f8ce1b1376bab56a176717da3ca96aeeae028ae1f93e840ed8665",
+            "f33135fc0d4f3432fec30890fe94dcc9111b907810e41025008406b09488ad52",
         "trace.csv":
-            "1a4c6d7150106bdf1cfc61b19ea3f06bf5bbebfd36464abc129777a7fb898d7e",
+            "13a34bc68939936b308f163f6484a31f0ca0f8d0eebe6c0598334fd2e4d31d42",
     },
     "toy-spsa": {
         "runs.csv":

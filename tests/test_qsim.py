@@ -314,10 +314,13 @@ def circuit_bandit(family, n):
 @pytest.mark.parametrize("family", ["qaoa", "pqc"])
 @pytest.mark.parametrize("n", [3, 8, 14])
 def test_sample_means_match_looped_sample_mean(family, n):
-    """Batching leaves every state and every draw bit-for-bit unchanged.
+    """Batching leaves every state and every draw bit-for-bit unchanged:
+    sample_means on one stream returns what sample_mean called on each
+    point in order on that stream returns.
 
     k covers a single arm, a line-search round of 16 arms, and a count
-    that leaves a partly filled last batch.
+    that leaves a partly filled last batch, so a batch boundary is
+    crossed. n = 3, 8 and 14 cover 8 to 16384 outcomes per draw.
     """
     bandit = circuit_bandit(family, n)
     root = SeededRng(90 + n)
@@ -326,10 +329,9 @@ def test_sample_means_match_looped_sample_mean(family, n):
         states = bandit.state(points)
         for j in range(k):
             assert states[j].tobytes() == bandit.state(points[j]).tobytes()
-        rngs = [root.child(k, j) for j in range(k)]
-        batched = bandit.sample_means(points, 1000, rngs)
-        rngs = [root.child(k, j) for j in range(k)]
-        looped = [bandit.sample_mean(points[j], 1000, rngs[j])
+        batched = bandit.sample_means(points, 1000, root.child(k, 0))
+        stream = root.child(k, 0)
+        looped = [bandit.sample_mean(points[j], 1000, stream)
                   for j in range(k)]
         assert batched.dtype == np.float64
         assert batched.tobytes() == np.array(looped).tobytes()
@@ -418,15 +420,15 @@ def test_real_pqc_state_matches_the_complex_per_gate_circuit(n):
 def test_sample_means_validation():
     bandit = QaoaBandit(complete_graph(3))
     points = np.full((2, bandit.dimension), 0.3)
-    rngs = [SeededRng(0), SeededRng(1)]
+    rng = SeededRng(0)
     with pytest.raises(ValueError):
-        bandit.sample_means(points, 0, rngs)
-    with pytest.raises(ValueError):  # one stream per point
-        bandit.sample_means(points, 10, rngs[:1])
+        bandit.sample_means(points, 0, rng)
+    with pytest.raises(ValueError):  # one point, not a list of points
+        bandit.sample_means(points[0], 10, rng)
     with pytest.raises(ValueError):
-        bandit.sample_means(points[:, :3], 10, rngs)
+        bandit.sample_means(points[:, :3], 10, rng)
     counting = CountingBandit(bandit)
-    counting.sample_means(points, 10, rngs)
+    counting.sample_means(points, 10, rng)
     assert counting.count == 20
 
 
@@ -441,7 +443,9 @@ def test_shot_means_follow_the_born_distribution(bandit):
 
     One shot's reward has mean mu and variance var under |psi|^2, so the
     n-shot mean has mean mu and variance var / n. Both estimates over
-    reps replications must sit within 5 sigma of those.
+    reps replications must sit within 5 sigma of those. The looped
+    replications each draw from their own stream, the batched ones all
+    from one.
     """
     shots, reps = 40, 3000
     params = SeededRng(82).random(bandit.dimension)
@@ -454,7 +458,7 @@ def test_shot_means_follow_the_born_distribution(bandit):
     looped = np.array([bandit.sample_mean(params, shots, root.child(0, i))
                        for i in range(reps)])
     batched = bandit.sample_means(np.tile(params, (reps, 1)), shots,
-                                  [root.child(1, i) for i in range(reps)])
+                                  root.child(1))
     for est in (looped, batched):
         assert abs(est.mean() - mu) < 5.0 * math.sqrt(var / reps)
         # sd of a variance estimate is about var * sqrt(2 / reps)

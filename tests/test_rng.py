@@ -144,20 +144,6 @@ def test_children_accept_any_integer_key_sequence():
     assert parent.children((9,), []) == []
 
 
-def test_children_may_be_drawn_in_any_order_but_each_in_one_run():
-    parent = SeededRng(2)
-    a, b, c = parent.children((1,), [0, 1, 2])
-    assert np.array_equal(c.random(3), parent.child(1, 2).random(3))
-    assert np.array_equal(a.random(2), parent.child(1, 0).random(2))
-    # a stream keeps its place while no other stream draws
-    assert a.random() == parent.child(1, 0).random(3)[2]
-    b.standard_normal()
-    with pytest.raises(RuntimeError):
-        a.random()
-    with pytest.raises(RuntimeError):
-        c.random()
-
-
 @pytest.mark.parametrize("keys", [[-1], [0, 2 ** 32], [2 ** 40], [2 ** 70],
                                   [0.5], [[1, 2]]])
 def test_children_refuse_keys_outside_one_word(keys):
@@ -203,13 +189,3 @@ def test_copy_of_a_held_stream_leaves_the_original_its_place(clone):
     expect = parent.child(4, 7).random(8)
     assert copied.random(6).tobytes() == expect[2:].tobytes()
     assert a.random(6).tobytes() == expect[2:].tobytes()
-
-
-@pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
-def test_copy_of_a_spent_children_stream_is_spent(clone):
-    a, b = SeededRng(6).children((1,), [0, 1])
-    a.random()
-    b.random()
-    copied = clone(a)
-    with pytest.raises(RuntimeError):
-        copied.random()

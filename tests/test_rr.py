@@ -8,6 +8,8 @@ import pytest
 from rrbandit import rr
 from rrbandit.bandits import GaussianBandit
 from rrbandit.intervals import IntervalSet
+from rrbandit.lines import LinearSlice, SliceBandit
+from rrbandit.qsim import PqcBandit
 from rrbandit.rng import SeededRng
 
 
@@ -172,6 +174,28 @@ def test_rounds_are_deterministic_given_seed():
             state = rr.run_round(state, _wedge_bandit(1.0), cfg, SeededRng(11))
         runs.append([rec.values.tolist() for rec in state.trace])
     assert runs[0] == runs[1]
+
+
+def _pqc_line():
+    sl = LinearSlice((0.3, 0.6, 0.1, 0.8), (1.0, 0.0, 0.0, 0.0))
+    return SliceBandit(PqcBandit(2), sl, lipschitz=1.0)
+
+
+@pytest.mark.parametrize("bandit", [_wedge_bandit(1.0), _pqc_line()],
+                         ids=["gaussian", "pqc"])
+def test_round_draws_its_arms_in_order_from_one_stream(bandit):
+    """Round t's values are sample_mean at each surviving arm, in grid
+    order, on the one stream rng.child(t)."""
+    rng = SeededRng(23, key=(4,))
+    state = rr.RRState()
+    for _ in range(3):
+        state = rr.run_round(state, bandit, rr.RRConfig(2.0 ** -3, 0.1), rng)
+    assert [rec.round for rec in state.trace] == [1, 2, 3]
+    for rec in state.trace:
+        stream = rng.child(rec.round)
+        expect = [bandit.sample_mean(x, rec.pulls_per_arm, stream)
+                  for x in rec.locations.tolist()]
+        assert rec.values.tobytes() == np.array(expect).tobytes()
 
 
 # ---------------------------------------------------------- recommend
