@@ -58,7 +58,9 @@ def spsa(bandit, start, cfg, rng, stop_condition=None):
     """SPSA descent on the bandit's N-shot empirical mean, clipped to [0,1]^d.
 
     Each iteration draws a Rademacher direction from rng.child(k, 0) and
-    evaluates the two perturbed points with 2 * shots_per_eval pulls.
+    evaluates the two perturbed points with 2 * shots_per_eval pulls, as
+    one sample_means call of the + point then the - point, both drawn
+    from rng.child(k, 1).
     """
     theta = np.clip(np.asarray(start, dtype=np.float64), 0.0, 1.0)
     d = theta.shape[0]
@@ -71,10 +73,10 @@ def spsa(bandit, start, cfg, rng, stop_condition=None):
             break
         c_k = cfg.c / (k + 1.0) ** cfg.gamma
         delta = rng.child(k, 0).integers(0, 2, size=d) * 2.0 - 1.0
-        y_plus = bandit.sample_mean(np.clip(theta + c_k * delta, 0.0, 1.0),
-                                    shots, rng.child(k, 1))
-        y_minus = bandit.sample_mean(np.clip(theta - c_k * delta, 0.0, 1.0),
-                                     shots, rng.child(k, 2))
+        pair = [np.clip(theta + c_k * delta, 0.0, 1.0),
+                np.clip(theta - c_k * delta, 0.0, 1.0)]
+        y_plus, y_minus = bandit.sample_means(pair, shots,
+                                              rng.child(k, 1)).tolist()
         res.samples_used += 2 * shots
         ghat = spsa_gradient(y_plus, y_minus, c_k, delta)
         a_k = a / (big_a + k + 1.0) ** cfg.alpha

@@ -5,6 +5,15 @@ Both families map bandit parameters in [0,1] to angles by multiplying with
 correctly-rounded summation, so states with all-equal outcome
 probabilities produce exact rational expectations. Shot rewards are
 bounded in [0,1], hence 1-sub-Gaussian.
+
+A shot's reward depends only on its level: the cut of its bitstring
+(QAOA) or its count of one bits (PQC). Each circuit states the reward of
+basis state z as an integer numerator over one integer denominator, and
+shots are drawn and scored over those levels, not over the 2^n outcomes
+(see _ShotBandit.sample_means). Each circuit also runs as a fixed
+sequence of steps, each reading its own parameters, so a call on many
+points simulates the steps that come before the first one in which the
+points differ only once.
 """
 
 import math
@@ -59,17 +68,36 @@ def uniform_amplitude(n):
     return amplitude
 
 
-class _ShotBandit(Bandit):
-    """Shared shot plumbing: subclasses provide state(params) and rewards.
+def _copies(prefix, batch):
+    """prefix = (start, psi) as (start, one copy of psi per point of batch)."""
+    start, psi = prefix
+    return start, np.broadcast_to(psi, batch + psi.shape).copy()
 
-    state(params) takes one point of shape (dimension,) and returns its
-    statevector, or a batch of points of shape (k, dimension) and returns
-    their (k, 2^n) states.
+
+class _ShotBandit(Bandit):
+    """Shared shot plumbing for a circuit run as a fixed sequence of steps.
+
+    A subclass provides:
+    - state(params, stop=None, prefix=None): the state after the first
+      stop steps (all of them by default) at one point of shape
+      (dimension,), or the (k, 2^n) states of a batch of shape
+      (k, dimension). prefix = (start, psi) runs only steps start.. on a
+      copy of psi per point, where psi is the one state that the first
+      start steps leave at every point;
+    - steps, and step_of: the step that reads each parameter;
+    - numerators and denominator: a shot on basis state z scores
+      numerators[z] / denominator, with integer numerators in
+      0..denominator; rewards holds the same scores as float64, from
+      which mean() takes the exact expectation.
     """
 
     rewards = None  # float64 array over basis states
+    numerators = None  # int64 array over basis states
+    denominator = 1
+    steps = 0
+    step_of = None  # int64 array over parameters
 
-    def state(self, params):
+    def state(self, params, stop=None, prefix=None):
         raise NotImplementedError
 
     def _params(self, params, shape):
@@ -91,26 +119,47 @@ class _ShotBandit(Bandit):
     def sample_means(self, points, n, rng):
         """Average reward of n shots at each point, all drawn from rng.
 
-        The states of up to batch_size(self.rewards.size) points are
-        simulated as one batch. Each point's outcome histogram is one
-        multinomial over its own probability vector, which has exactly the
-        distribution of n individual shots. A batch's histograms are one
-        2-d multinomial call, which draws row after row as per-point calls
-        on the same stream would; each row is scored by its own 1-d dot
-        product, so the result does not depend on the batch shape.
+        Only the work in which the points differ is done per point:
+        - Shared prefix. The steps before the first one whose parameters
+          differ across the points (compared bit for bit) are simulated
+          once, on one state. The points then run in batches of up to
+          batch_size(2^n), each starting from copies of that state. Every
+          amplitude sees the arithmetic it sees in state(point), so the
+          states are bitwise those.
+        - Level draws. A point's probabilities are summed onto the levels
+          0..denominator by numerator, in basis-state order (one weighted
+          bincount per batch), and each row is normalised with
+          math.fsum. That is the outcome distribution grouped by reward,
+          so one multinomial of n over the levels has the law of n shots.
+          A batch's histograms are one 2-d multinomial call, which draws
+          row after row as per-point calls on the same stream would.
+        - Integer scores. A point's mean is sum(count * numerator) over
+          denominator * n, computed in integers and then divided once,
+          correctly rounded.
+        No result depends on the batch shape, and none on a SIMD sum.
         """
         n = int(n)
         if n < 1:
             raise ValueError("need at least one shot")
         params = self._params(points, (len(points), self.dimension))
+        bits = params.view(np.int64)  # tells 0.0 from -0.0
+        moved = self.step_of[np.any(bits != bits[0], axis=0)]
+        start = int(moved.min()) if moved.size else self.steps
+        prefix = (start, self.state(params[0], stop=start)) if start else None
+        levels = self.denominator + 1
+        scale = self.denominator * n
         out = np.empty(len(params), dtype=np.float64)
-        chunk = batch_size(self.rewards.size)
+        chunk = batch_size(self.numerators.size)
         for lo in range(0, len(params), chunk):
-            probs = probabilities(self.state(params[lo:lo + chunk]))
-            counts = rng.multinomial(
-                n, probs / probs.sum(axis=1, keepdims=True))
-            for j, row in enumerate(counts, start=lo):
-                out[j] = float(row @ self.rewards) / n
+            probs = probabilities(
+                self.state(params[lo:lo + chunk], prefix=prefix))
+            k = len(probs)
+            index = self.numerators + levels * np.arange(k)[:, None]
+            mass = np.bincount(index.ravel(), weights=probs.ravel(),
+                               minlength=k * levels).reshape(k, levels)
+            total = np.array([math.fsum(row) for row in mass.tolist()])
+            counts = rng.multinomial(n, mass / total[:, None])
+            out[lo:lo + k] = (counts @ np.arange(levels)) / scale
         return out
 
 
@@ -119,13 +168,15 @@ class PqcBandit(_ShotBandit):
 
     Each layer applies a y-rotation to every qubit followed by a chain of
     CZ gates on neighbors. The shot reward for bitstring z is
-    1 - (#zero bits)/n, so the all-zero state costs 0. Layer count
-    defaults to the qubit count. lipschitz is advisory for line-search
-    grids; it is not validated against the true smoothness.
+    1 - (#zero bits)/n, so the all-zero state costs 0: numerator the
+    number of one bits of z, denominator n. Layer count defaults to the
+    qubit count. lipschitz is advisory for line-search grids; it is not
+    validated against the true smoothness.
 
-    Both gates are real, so the state is simulated as float64. Each layer's
-    rotations are one apply_rotation call with per-qubit angles, and its CZ
-    chain is one multiply by its +-1 diagonal, built once.
+    Both gates are real, so the state is simulated as float64. A step is
+    one layer: its rotations are one apply_rotation call with per-qubit
+    angles, and its CZ chain is one multiply by its +-1 diagonal, built
+    once.
     """
 
     def __init__(self, n, layers=None, lipschitz=0.5):
@@ -136,13 +187,22 @@ class PqcBandit(_ShotBandit):
         self.dimension = self.n * self.layers
         self.lipschitz = float(lipschitz)
         self.rewards = 1.0 - zeros_fractions(self.n)
+        self.numerators = _ones(np.arange(1 << self.n, dtype=np.int64), self.n)
+        self.denominator = self.n
         self.cz_signs = cz_chain_signs(self.n)
+        self.steps = self.layers
+        self.step_of = np.arange(self.dimension, dtype=np.int64) // self.n
 
-    def state(self, params):
-        state = zero_state(self.n, params.shape[:-1], dtype=np.float64)
+    def state(self, params, stop=None, prefix=None):
+        if prefix is None:
+            start = 0
+            state = zero_state(self.n, params.shape[:-1], dtype=np.float64)
+        else:
+            start, state = _copies(prefix, params.shape[:-1])
         angles = TWO_PI * params
         qubits = range(self.n)
-        for k in range(0, self.dimension, self.n):
+        for layer in range(start, self.steps if stop is None else stop):
+            k = layer * self.n
             apply_rotation(state, qubits, "y", angles[..., k:k + self.n])
             state *= self.cz_signs
         return state
@@ -153,8 +213,10 @@ class QaoaBandit(_ShotBandit):
 
     Parameters are (gamma_1..gamma_p, beta_1..beta_p) in [0,1], scaled by
     2*pi. A layer applies the cut-count diagonal phase exp(-i gamma C)
-    then the transverse mixer exp(-i beta X) on every qubit. The shot
-    reward for bitstring z is 1 - cut(z)/maxcut, so an optimal cut costs 0.
+    then the transverse mixer exp(-i beta X) on every qubit; each is one
+    step, so the steps run gamma_1, beta_1, gamma_2, beta_2, ... The shot
+    reward for bitstring z is 1 - cut(z)/maxcut, so an optimal cut costs
+    0: numerator maxcut - cut(z), denominator maxcut.
 
     The circuit starts from H on every qubit of |0...0>, whose amplitudes
     are all the same number, so the state is filled with that number
@@ -176,17 +238,29 @@ class QaoaBandit(_ShotBandit):
         self.maxcut = int(self.cuts.max())
         self.levels = np.arange(self.maxcut + 1, dtype=np.float64)
         self.rewards = 1.0 - self.cuts / self.maxcut
+        self.numerators = self.maxcut - self.cuts
+        self.denominator = self.maxcut
         self.uniform = uniform_amplitude(graph.n)
+        self.steps = 2 * self.layers
+        layer = np.arange(self.layers, dtype=np.int64)
+        self.step_of = np.concatenate([2 * layer, 2 * layer + 1])
 
-    def state(self, params):
+    def state(self, params, stop=None, prefix=None):
+        if prefix is None:
+            start = 0
+            state = np.full(params.shape[:-1] + self.cuts.shape,
+                            self.uniform, dtype=np.complex128)
+        else:
+            start, state = _copies(prefix, params.shape[:-1])
         p = self.layers
         gammas = TWO_PI * params[..., :p]
         betas = TWO_PI * params[..., p:]
-        state = np.full(params.shape[:-1] + self.cuts.shape,
-                        self.uniform, dtype=np.complex128)
-        for layer in range(p):
-            apply_phase(state, self.levels, self.cuts, gammas[..., layer])
-            # exp(-i beta X) is an x-rotation by 2*beta on every qubit
-            apply_rotation(state, range(self.graph.n), "x",
-                           2.0 * betas[..., layer])
+        for step in range(start, self.steps if stop is None else stop):
+            layer, mixer = divmod(step, 2)
+            if mixer:
+                # exp(-i beta X) is an x-rotation by 2*beta on every qubit
+                apply_rotation(state, range(self.graph.n), "x",
+                               2.0 * betas[..., layer])
+            else:
+                apply_phase(state, self.levels, self.cuts, gammas[..., layer])
         return state

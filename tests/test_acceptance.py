@@ -213,16 +213,21 @@ def test_criterion_5_bound_formulas(record_criterion):
 
 class _OutcomeIndicator(_ShotBandit):
     """Fixed state psi whose shot reward is 1 on outcome z and 0 elsewhere,
-    so an n-shot mean is the frequency of z among n shots."""
+    so an n-shot mean is the frequency of z among n shots. It is a
+    one-step circuit: numerator 1 at z, denominator 1."""
 
     dimension = 1
+    steps = 1
+    step_of = np.zeros(1, dtype=np.int64)
 
     def __init__(self, psi, z):
         self.psi = psi
         self.rewards = np.zeros(psi.size)
         self.rewards[z] = 1.0
+        self.numerators = np.zeros(psi.size, dtype=np.int64)
+        self.numerators[z] = 1
 
-    def state(self, params):
+    def state(self, params, stop=None, prefix=None):
         return np.broadcast_to(self.psi, params.shape[:-1] + self.psi.shape)
 
 

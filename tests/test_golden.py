@@ -8,7 +8,10 @@ upgrade may also move them.
 """
 
 import hashlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -54,43 +57,43 @@ GOLDEN = {
         "aggregate.csv":
             "2c83921bb599a8df594fdb1a6f13dc95f011ff4af5716e5cce07edddbb464e2a",
         "runs.csv":
-            "3e3489151e91d7664325ffd7b0a70f17403ad38a2058eb163e2b6cb1b228897c",
+            "8cf56ad066595b5c02177e063ab24ede7e2d971ad993956eff6d8d1b5428909f",
     },
     "pqc-rr_reject": {
         "aggregate.csv":
             "c2ed84212b54fb270c368cab281ce73fb99cf54a6d1220e1cbfc0913013c2faf",
         "runs.csv":
-            "20263398eeea54a3d20c4f2227ff7e47d7ef6ad66c221e154f2f04485acd30e6",
+            "2edade0eb510db75f7b68063699244bce34b53c8ae295e523b7345b9e1ee6377",
     },
     "pqc-spsa-wide": {
         "aggregate.csv":
             "40ca8bbb6b6c7134a700569f662d470bcffe601d0e6381ab9ad8e811609c00f4",
         "runs.csv":
-            "1772e71155df320e63e14351280ebeeb7b26b0e89a323c561559614aad78b369",
+            "94ba5e897ea834625a0bdf694e2bb7dff67b7e464f71e6af956851b353072067",
     },
     "qaoa-powell_brent": {
         "aggregate.csv":
             "2ea09e60cbe06367f625c36f2189c788851937ac17f4eccf8df26bfb2e808def",
         "runs.csv":
-            "39e60b2268d1d1f27925123c7ae84d4a829e3397a2ae0a827c16e1f7f2e6d0d9",
+            "b49cfabc31c693b6e9ec17b921212ebcefe6b5708384b3d54d382ee4c4b570cb",
     },
     "qaoa-rr_powell": {
         "aggregate.csv":
-            "e78a4dd48eb29dd56ea78ef5c76c037845654373d4e122fd682f4067f09fb24e",
+            "5a5296746ce47cd90b17bd4f32a8cbad05e712a8aad39fb7707db428396ff201",
         "runs.csv":
-            "745d904737bd884cd129ceaf05062967af0ed55229438bc6ec1f835ac8651da2",
+            "c202be2bdabcf40df02dd3f43edfc71ef90d58c58191334a5911c2b96abd0a2f",
     },
     "qaoa-rr_powell-wide": {
         "aggregate.csv":
             "419ce1f8b4585f0c347d997dc3361930d6b8f44a8437a67ae106dd7004044aed",
         "runs.csv":
-            "1129300e3850b5971ba32ffe1a029efac4d37b520d1510011e13bd6389c2d2c3",
+            "cf34be0e16c7d519db49b8ad950c175deb736c51a9989b579cdfeab288c7225d",
     },
     "qaoa-spsa": {
         "aggregate.csv":
             "70e167c2088e06da74e67db3424489290b363906d434d66a16e957d82cda3e60",
         "runs.csv":
-            "653c1f35c35b75906865158be97019f39d1f9d869f5991246c83109f050a95f3",
+            "26ef7e4b39fe8c89c69a2d2a00c80fa530002d06497b7259822c2274392caafa",
     },
     "toy-rr": {
         "runs.csv":
@@ -100,9 +103,9 @@ GOLDEN = {
     },
     "toy-spsa": {
         "runs.csv":
-            "9ab560caf1e5e2bb18a2cf4495c305f8251ac25512a10338b038080cbaf23dc8",
+            "bc1f420c369aee80724d60de967c0d8935ce97d38e9bfac9d1bccf33506d8b37",
         "trace.csv":
-            "8ac501c8a59afc917c498edbabbbcff02ceb09e9728b0c175625491ad58a2154",
+            "ac12eaceac3f9e2e9fdd8efbc8346acbfc014ad347bb8e9c70b49899c9c028f4",
     },
 }
 
@@ -130,3 +133,62 @@ def run_digests(name, out_dir):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_golden_output_digests(name, tmp_path):
     assert run_digests(name, tmp_path / name) == GOLDEN[name]
+
+
+def _umath():
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    return _multiarray_umath
+
+
+def _dispatch_above_v2():
+    """The CPU features above x86-64-v2 that numpy dispatches to on this
+    machine, or [] when there are none or numpy's baseline is higher."""
+    umath = _umath()
+    baseline = getattr(umath, "__cpu_baseline__", [])
+    if "X86_V2" not in baseline or "X86_V3" in baseline:
+        return []
+    features = getattr(umath, "__cpu_features__", {})
+    return [name for name in getattr(umath, "__cpu_dispatch__", [])
+            if features.get(name)]
+
+
+# Runs whose bits must not depend on numpy's SIMD dispatch level. The
+# qaoa-* runs are left out: above x86-64-v2, numpy's complex multiply in
+# the QAOA phase gate uses fused multiply-adds, which round differently,
+# so qaoa-rr_powell and qaoa-spsa give other digests at x86-64-v2.
+DISPATCH_FREE = sorted(name for name in RUNS
+                       if name.split("-")[0] in ("pqc", "toy", "bounds"))
+
+_AT_V2 = """
+import json, sys, tempfile
+import test_golden
+off = sys.argv[1].split()
+features = test_golden._umath().__cpu_features__
+assert not any(features[name] for name in off), off
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name in sys.argv[2:]:
+        out[name] = test_golden.run_digests(name, f"{tmp}/{name}")
+print(json.dumps(out))
+"""
+
+
+def test_golden_digests_hold_at_x86_64_v2():
+    """The PQC, toy and bound goldens, rerun in a subprocess with numpy's
+    dispatch held to x86-64-v2, give the pinned digests."""
+    above = _dispatch_above_v2()
+    if not above:
+        pytest.skip("no numpy dispatch target above x86-64-v2 to disable")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(above),
+               PYTHONPATH=os.pathsep.join([src, here]))
+    done = subprocess.run(
+        [sys.executable, "-c", _AT_V2, " ".join(above), *DISPATCH_FREE],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.strip().splitlines()[-1])
+    assert got == {name: GOLDEN[name] for name in DISPATCH_FREE}

@@ -17,6 +17,7 @@ from rrbandit.qsim import (Graph, MAX_QUBITS, PqcBandit, QaoaBandit,
                            cut_values, erdos_renyi, expected_reward,
                            maxcut_bruteforce, norm, num_qubits, path_graph,
                            probabilities, zero_state, zeros_fractions)
+from rrbandit.qsim import costs
 from rrbandit.qsim.costs import TWO_PI, cz_chain_signs, uniform_amplitude
 from rrbandit.qsim.statevector import batch_size
 from rrbandit.rng import SeededRng
@@ -463,6 +464,140 @@ def test_shot_means_follow_the_born_distribution(bandit):
         assert abs(est.mean() - mu) < 5.0 * math.sqrt(var / reps)
         # sd of a variance estimate is about var * sqrt(2 / reps)
         assert abs(est.var(ddof=1) - var) < 5.0 * var * math.sqrt(2.0 / reps)
+
+
+def prefix_bandit(family, n):
+    """A QAOA of 1, 2 or 3 layers ('qaoa1'..'qaoa3'), or a 3-layer PQC."""
+    if family == "pqc":
+        return PqcBandit(n, layers=3)
+    return QaoaBandit(erdos_renyi(n, SeededRng(80 + n), 0.6),
+                      layers=int(family[-1]))
+
+
+def sharing_points(bandit, k, shared, rng):
+    """k random points whose parameters of the first `shared` circuit
+    steps all equal those of the first point; of the next step's, only
+    the last point's differ."""
+    points = rng.random((k, bandit.dimension))
+    points[:, bandit.step_of < shared] = points[0, bandit.step_of < shared]
+    points[:-1, bandit.step_of == shared] = points[0,
+                                                   bandit.step_of == shared]
+    return points
+
+
+@pytest.mark.parametrize("family", ["qaoa1", "qaoa2", "qaoa3", "pqc"])
+@pytest.mark.parametrize("n", [3, 8, 14])
+def test_sample_means_states_are_the_per_point_states(family, n,
+                                                      monkeypatch):
+    """sample_means simulates the steps its points share once and starts
+    every batch from copies of that state; each state it scores is
+    bitwise state(point). Points share 0, 1, ..., all steps; k = 1, 16
+    and batch_size + 5, so a batch boundary is crossed and the prefix is
+    shared across batches. Each step is one gate call, which sees the
+    prefix's steps on one state and every later step on each point's."""
+    bandit = prefix_bandit(family, n)
+    scored, gate_states = [], []
+    monkeypatch.setattr(costs, "probabilities", lambda state: (
+        scored.append(state.copy()), probabilities(state))[1])
+    for name in ("apply_phase", "apply_rotation"):
+        gate = getattr(costs, name)
+        monkeypatch.setattr(costs, name, lambda state, *args, gate=gate: (
+            gate_states.append(state.size >> n), gate(state, *args))[1])
+    root = SeededRng(300 + n)
+    for shared in range(bandit.steps + 1):
+        for k in (1, 16, batch_size(1 << n) + 5):
+            points = sharing_points(bandit, k, shared, root.child(shared, k))
+            scored.clear()
+            gate_states.clear()
+            bandit.sample_means(points, 10, root.child(shared, k, 0))
+            states = np.concatenate([s.reshape(-1, 1 << n) for s in scored])
+            start = bandit.steps if k == 1 else shared
+            assert sum(gate_states) == start + k * (bandit.steps - start)
+            for j in range(k):
+                assert states[j].tobytes() == bandit.state(points[j]).tobytes()
+
+
+class RecordingRng:
+    """Passes multinomial calls on to rng and keeps each pvals array."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.pvals = []
+
+    def multinomial(self, n, pvals):
+        self.pvals.append(pvals.copy())
+        return self.rng.multinomial(n, pvals)
+
+
+@pytest.mark.parametrize("family", ["qaoa2", "pqc"])
+@pytest.mark.parametrize("n", [3, 8, 14])
+def test_level_probabilities_are_the_outcome_probabilities_by_level(family,
+                                                                    n):
+    """Each point's multinomial runs over the levels 0..denominator with
+    the probabilities of its outcomes summed by reward numerator, to
+    1e-15 relative to the row's total. bincount adds a level's terms one
+    by one, not correctly rounded, so relative to a single level the
+    error grows with its term count (3e-15 seen at n = 14)."""
+    bandit = prefix_bandit(family, n)
+    rng = RecordingRng(SeededRng(400 + n))
+    points = SeededRng(410 + n).random((5, bandit.dimension))
+    bandit.sample_means(points, 100, rng)
+    got = np.concatenate(rng.pvals)
+    assert got.shape == (5, bandit.denominator + 1)
+    for point, row in zip(points, got):
+        probs = probabilities(bandit.state(point)).tolist()
+        total = math.fsum(probs)
+        expect = np.array([math.fsum(p for p, l in zip(
+            probs, bandit.numerators.tolist()) if l == level) / total
+            for level in range(bandit.denominator + 1)])
+        assert np.all(np.abs(row - expect) <= 1e-15)
+
+
+def test_reward_numerators_over_the_denominator_are_the_rewards():
+    qaoa = prefix_bandit("qaoa2", 8)
+    pqc = PqcBandit(6)
+    assert np.array_equal(qaoa.numerators, qaoa.maxcut - qaoa.cuts)
+    assert qaoa.denominator == qaoa.maxcut
+    assert np.array_equal(pqc.numerators, [bin(z).count("1")
+                                           for z in range(1 << 6)])
+    assert pqc.denominator == 6
+    for bandit in (qaoa, pqc):
+        assert bandit.numerators.dtype == np.int64
+        assert np.allclose(bandit.numerators / bandit.denominator,
+                           bandit.rewards, rtol=0.0, atol=1e-15)
+
+
+def test_integer_scores_are_exact():
+    """The all-zero PQC state scores exactly 0 however many shots; a
+    single shot scores exactly its level over the denominator."""
+    bandit = PqcBandit(5)
+    zeros = np.zeros((40, bandit.dimension))
+    for shots in (1, 7, 100_000):
+        means = bandit.sample_means(zeros, shots, SeededRng(shots))
+        assert np.all(means == 0.0)
+        assert bandit.sample_mean(zeros[0], shots, SeededRng(shots)) == 0.0
+    qaoa = QaoaBandit(complete_graph(3))  # levels 0/2, 1/2 and 2/2
+    singles = qaoa.sample_means(np.zeros((200, 4)), 1, SeededRng(7))
+    assert set(singles.tolist()) <= {0.0, 0.5, 1.0}
+
+
+@pytest.mark.parametrize("family", ["qaoa2", "pqc"])
+def test_single_shot_levels_follow_the_born_distribution(family):
+    """At n = 12, the level of each of reps one-shot pulls, all on one
+    stream, against the exact level probabilities: every level's
+    frequency within 5 sigma."""
+    bandit = prefix_bandit(family, 12)
+    reps = 20_000
+    params = SeededRng(420).random(bandit.dimension)
+    probs = probabilities(bandit.state(params))
+    levels = np.bincount(bandit.numerators, weights=probs,
+                         minlength=bandit.denominator + 1) / probs.sum()
+    means = bandit.sample_means(np.tile(params, (reps, 1)), 1, SeededRng(421))
+    drawn = np.rint(means * bandit.denominator).astype(np.int64)
+    assert np.array_equal(drawn / bandit.denominator, means)
+    freqs = np.bincount(drawn, minlength=levels.size) / reps
+    slack = 5.0 * np.sqrt(levels * (1.0 - levels) / reps) + 1e-6
+    assert np.all(np.abs(freqs - levels) <= slack)
 
 
 # --------------------------------------------------------- objectives
