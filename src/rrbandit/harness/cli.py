@@ -21,10 +21,6 @@ from .config import ConfigError, load_spec, parse_overrides
 from .toy import run_toy
 from .vqa import run_vqa
 
-_RUN_SHORTCUTS = ("out", "seeds", "sizes", "optimizer", "budget",
-                  "threshold", "workers", "epsilon", "delta", "instances")
-
-
 def _add_common(sub, shortcuts):
     sub.add_argument("spec", nargs="?", default=None,
                      help="INI spec file (optional; defaults apply)")
@@ -34,6 +30,7 @@ def _add_common(sub, shortcuts):
     for name in shortcuts:
         sub.add_argument(f"--{name}", default=None,
                          help=f"shortcut for --set run.{name}=...")
+    sub.set_defaults(shortcuts=shortcuts)
 
 
 def build_parser():
@@ -60,8 +57,8 @@ def build_parser():
 
 def _resolve_spec(args):
     spec = load_spec(args.spec)
-    for name in _RUN_SHORTCUTS:
-        value = getattr(args, name, None)
+    for name in args.shortcuts:
+        value = getattr(args, name)
         if value is not None:
             spec.set("run", name, value)
     parse_overrides(spec, args.overrides)

@@ -6,13 +6,13 @@ Run specs are INI files with three sections:
     [instance]   problem construction knobs (graph model, noise, ...)
     [optimizer]  per-optimizer knobs (q, d_max, spsa gains, ...)
 
-Every value is a plain string in the file; typed access goes through
-RunSpec.get_* helpers so that error messages name the offending key.
-The runners read every section through RunSpec.fields, which names every
-key a runner reads and refuses any other, so a misspelt key is an error
-and not a silent default. A key left unset is not passed on: the config
-or bandit constructor's own default applies, apart from the few runner
-defaults each runner states.
+Every value is a plain string in the file. The runners read every
+section through RunSpec.fields, which parses each key as its type and
+names the key in any error. It names every key a runner reads and
+refuses any other, so a misspelt key is an error and not a silent
+default. A key left unset is not passed on: the config or bandit
+constructor's own default applies, apart from the few runner defaults
+each runner states.
 Command-line overrides use the dotted form  section.key=value.
 """
 
@@ -30,6 +30,20 @@ _SECTIONS = ("run", "instance", "optimizer")
 
 class ConfigError(ValueError):
     """Raised for malformed spec files or override strings."""
+
+
+def _parse_bool(raw):
+    lowered = str(raw).strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+# RunSpec.fields' type -> (parser, error text for a value it cannot parse)
+_PARSERS = {int: (int, "not an integer"), float: (float, "not a number"),
+            bool: (_parse_bool, "not a boolean"), str: (str, None)}
 
 
 def checked(section, build, *args, **kwargs):
@@ -122,7 +136,7 @@ def expand_ints(text: str) -> list[int]:
 
 @dataclass
 class RunSpec:
-    """A parsed spec: three string->string tables plus typed accessors."""
+    """A parsed spec: three string->string tables."""
 
     run: dict = field(default_factory=dict)
     instance: dict = field(default_factory=dict)
@@ -136,48 +150,13 @@ class RunSpec:
     def set(self, section: str, key: str, value: str) -> None:
         self._table(section)[key] = value
 
-    def get(self, section, key, default=None):
-        return self._table(section).get(key, default)
-
-    def get_str(self, section: str, key: str, default: Optional[str] = None) -> str:
-        value = self.get(section, key, default)
-        if value is None:
-            raise ConfigError(f"missing required key {section}.{key}")
-        return str(value)
-
-    def get_int(self, section: str, key: str, default=None) -> int:
-        raw = self.get_str(section, key, None if default is None else str(default))
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}: not an integer: {raw!r}") from None
-
-    def get_float(self, section: str, key: str, default=None) -> float:
-        raw = self.get_str(section, key, None if default is None else repr(float(default)))
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}: not a number: {raw!r}") from None
-        return value
-
-    def get_bool(self, section: str, key: str, default: bool = False) -> bool:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        lowered = str(raw).strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{section}.{key}: not a boolean: {raw!r}")
-
     def fields(self, section: str, **types) -> dict:
         """The keys [section] sets, each parsed as types names it.
 
         types maps every key the caller reads to int, float, bool or str.
         Keys the section leaves unset are left out, so the caller's
         defaults apply; a key it sets that types does not name is a
-        ConfigError.
+        ConfigError, and so is a value its type cannot parse.
         """
         table = self._table(section)
         unread = [key for key in table if key not in types]
@@ -186,16 +165,18 @@ class RunSpec:
                 f"unknown key(s) "
                 f"{', '.join(f'{section}.{key}' for key in unread)}; "
                 f"[{section}] here reads {', '.join(types)}")
-        readers = {int: self.get_int, float: self.get_float,
-                   bool: self.get_bool, str: self.get_str}
-        return {key: readers[kind](section, key)
-                for key, kind in types.items() if key in table}
-
-    def seeds(self) -> list[int]:
-        return expand_seeds(self.get_str("run", "seeds", "0"))
-
-    def sizes(self) -> list[int]:
-        return expand_ints(self.get_str("run", "sizes", "4"))
+        out = {}
+        for key, kind in types.items():
+            if key not in table:
+                continue
+            parse, what = _PARSERS[kind]
+            raw = table[key]
+            try:
+                out[key] = parse(raw)
+            except ValueError:
+                raise ConfigError(
+                    f"{section}.{key}: {what}: {raw!r}") from None
+        return out
 
 
 def load_spec(path: Optional[str]) -> RunSpec:

@@ -18,7 +18,8 @@ from .. import rr
 from ..baselines import spsa
 from ..bandits import GaussianBandit
 from ..rng import SeededRng
-from .config import SPSA_KEYS, ConfigError, checked, spsa_config
+from .config import (SPSA_KEYS, ConfigError, checked, expand_seeds,
+                     spsa_config)
 from .output import write_csv
 
 N_CELLS = 20
@@ -154,8 +155,10 @@ def run_toy(spec):
                           f"got {optimizer!r}")
     if run.get("workers", 1) != 1:
         raise ConfigError("run.workers must be 1: toy runs its seeds serially")
-    seeds = spec.seeds()
-    budget = run.get("budget", 0) or None
+    seeds = expand_seeds(run.get("seeds", "0"))
+    budget = run.get("budget", 0)  # 0: no budget
+    if budget < 0:
+        raise ConfigError(f"run.budget must be non-negative, got {budget}")
     out_dir = run.get("out", os.path.join("results", "toy"))
 
     x_star = smooth_minimizer()
@@ -163,7 +166,7 @@ def run_toy(spec):
                      **spec.fields("instance", sigma=float))
     setup, run_seed = OPTIMIZERS[optimizer]
     runner = functools.partial(
-        run_seed, *checked("optimizer", setup, spec, budget), bandit)
+        run_seed, *checked("optimizer", setup, spec, budget or None), bandit)
     run_rows, trace_rows = [], []
     for seed in seeds:
         x_hat, samples, status, trace = runner(seed)

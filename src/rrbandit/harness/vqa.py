@@ -22,7 +22,8 @@ from ..baselines import PowellBrentConfig, powell_brent, spsa
 from ..lines import DriverConfig, powell_driver, random_direction_driver
 from ..qsim import MAX_QUBITS, PqcBandit, QaoaBandit, erdos_renyi
 from ..rng import SeededRng
-from .config import SPSA_KEYS, ConfigError, checked, spsa_config
+from .config import (SPSA_KEYS, ConfigError, checked, expand_ints,
+                     expand_seeds, spsa_config)
 from .output import write_csv
 
 VQA_EXPERIMENTS = ("pqc", "qaoa")
@@ -224,8 +225,10 @@ def run_vqa(experiment, spec):
     if budget < 1:
         raise ConfigError("run.budget must be positive")
     workers = run.get("workers", 1)
-    sizes = spec.sizes()
-    seeds = spec.seeds()
+    if workers < 1:
+        raise ConfigError(f"run.workers must be at least 1, got {workers}")
+    sizes = expand_ints(run.get("sizes", "4"))
+    seeds = expand_seeds(run.get("seeds", "0"))
     out_dir = run.get("out", os.path.join("results", experiment))
 
     config = optimizer_config(spec, optimizer, budget)

@@ -59,9 +59,6 @@ class SliceBandit(Bandit):
     def mean(self, s):
         return self.parent.mean(self.slice.point(s))
 
-    def sample_mean(self, s, n, rng):
-        return self.parent.sample_mean(self.slice.point(s), n, rng)
-
     def sample_means(self, points, n, rng):
         return self.parent.sample_means(
             [self.slice.point(s) for s in points], n, rng)
@@ -96,14 +93,18 @@ class DriverConfig:
         rr.dyadic_depth(self.epsilon_line)
         if self.d_max < 1:
             raise ValueError("d_max must be at least 1")
-        if self.q < 0:
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not self.q >= 0:
             raise ValueError("q must be non-negative")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be non-negative")
         if self.wrap not in WRAPS:
             raise ValueError(f"wrap must be one of {WRAPS}")
         if self.acceptance not in ("reject", "aim"):
             raise ValueError("acceptance must be 'reject' or 'aim'")
-        if not self.lipschitz > 0:
-            raise ValueError("lipschitz must be positive")
+        if not 0 < self.lipschitz < math.inf:
+            raise ValueError("lipschitz must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -166,8 +167,8 @@ def _incumbent_pulls(cfg, sigma):
 
 
 def _start_result(bandit, start, cfg, rng):
-    """Validate the start point and estimate its value once. Returns
-    (result, n0); result.value is NaN when even that is unaffordable."""
+    """Validate the start point and estimate its value once; the result's
+    value is NaN when even that is unaffordable."""
     p = np.asarray(start, dtype=np.float64).copy()
     if p.ndim != 1:
         raise ValueError("start point must be a 1-d vector")
@@ -175,9 +176,9 @@ def _start_result(bandit, start, cfg, rng):
         raise ValueError("start point must lie in [0,1]^d")
     n0 = _incumbent_pulls(cfg, bandit.sigma)
     if cfg.budget is not None and n0 > cfg.budget:
-        return DriverResult(p, math.nan, 0, budget_exhausted=True), n0
+        return DriverResult(p, math.nan, 0, budget_exhausted=True)
     value = bandit.sample_mean(p, n0, rng.child(0))
-    return DriverResult(p, value, n0), n0
+    return DriverResult(p, value, n0)
 
 
 def powell_driver(bandit, start, cfg, rng, stop_condition=None):
@@ -186,7 +187,7 @@ def powell_driver(bandit, start, cfg, rng, stop_condition=None):
     normalized sweep displacement. A line result moves the point only when
     it improves the incumbent estimate.
     """
-    res, _ = _start_result(bandit, start, cfg, rng)
+    res = _start_result(bandit, start, cfg, rng)
     d = res.point.shape[0]
     if d < 2:
         raise ValueError("powell_driver needs dimension >= 2")
@@ -236,7 +237,7 @@ def random_direction_driver(bandit, start, cfg, rng, stop_condition=None):
     iff the new estimate beats the previous line's estimate at the nearest
     probed location (first step: beats the incumbent).
     """
-    res, _ = _start_result(bandit, start, cfg, rng)
+    res = _start_result(bandit, start, cfg, rng)
     d = res.point.shape[0]
     if res.budget_exhausted:
         return res

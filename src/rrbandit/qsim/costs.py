@@ -113,8 +113,8 @@ class _ShotBandit(Bandit):
         probs = probabilities(self.state(self._params(params, (self.dimension,))))
         return expected_reward(probs, self.rewards)
 
-    def sample_mean(self, params, n, rng):
-        return float(self.sample_means([params], n, rng)[0])
+    # perfbench patches this name in the class's own dict
+    sample_mean = Bandit.sample_mean
 
     def sample_means(self, points, n, rng):
         """Average reward of n shots at each point, all drawn from rng.

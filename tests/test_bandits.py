@@ -58,23 +58,6 @@ def test_counting_bandit_passes_values_through():
     assert c.mean(0.0) == 2.0
 
 
-class _Uniform(Bandit):
-    """Defines only sample_mean, so sample_means is the base loop."""
-
-    def sample_mean(self, x, n, rng):
-        return 3.0 * x + rng.random() / n
-
-
-def test_base_sample_means_loops_sample_mean():
-    b = _Uniform()
-    points = [0.1, 0.5, 0.9]
-    got = b.sample_means(points, 7, SeededRng(5))
-    stream = SeededRng(5)
-    expect = [b.sample_mean(x, 7, stream) for x in points]
-    assert got.dtype == np.float64
-    assert got.tolist() == expect
-
-
 @pytest.mark.parametrize("sigma", [0.0, 1.0, 6.0])
 def test_gaussian_sample_means_match_looped_sample_mean(sigma):
     """One standard_normal(k) call gives the bits of k sample_mean calls

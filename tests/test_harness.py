@@ -46,24 +46,31 @@ def test_expand_ints_keeps_order():
 
 
 def test_runspec_typed_getters():
+    """fields parses each key as its type; unset keys are left out."""
     spec = RunSpec()
     spec.set("run", "budget", "100")
     spec.set("optimizer", "q", "3.5")
     spec.set("optimizer", "flag", "yes")
-    assert spec.get_int("run", "budget") == 100
-    assert spec.get_float("optimizer", "q") == 3.5
-    assert spec.get_bool("optimizer", "flag") is True
-    assert spec.get_bool("optimizer", "other", default=False) is False
-    assert spec.get_int("run", "missing", 7) == 7
-    with pytest.raises(ConfigError):
-        spec.get_int("optimizer", "q")  # 3.5 is not an integer
-    with pytest.raises(ConfigError):
-        spec.get_str("run", "nope")
-    with pytest.raises(ConfigError):
+    assert spec.fields("run", budget=int, missing=int, nope=str) == {
+        "budget": 100}
+    assert spec.fields("optimizer", q=float, flag=bool, other=bool) == {
+        "q": 3.5, "flag": True}
+    for text, value in (("1", True), ("On", True), (" no ", False),
+                        ("0", False), ("FALSE", False), ("off", False)):
+        spec.set("optimizer", "flag", text)
+        assert spec.fields("optimizer", q=float, flag=bool)["flag"] is value
+    with pytest.raises(ConfigError, match=r"optimizer\.q: not an integer"):
+        spec.fields("optimizer", q=int, flag=bool)  # 3.5 is not an integer
+    spec.set("run", "budget", "lots")
+    with pytest.raises(ConfigError, match=r"run\.budget: not a number"):
+        spec.fields("run", budget=float)
+    with pytest.raises(ConfigError, match="unknown section"):
         spec.set("misc", "x", "1")
+    with pytest.raises(ConfigError, match="unknown section"):
+        spec.fields("misc", x=str)
     spec.set("optimizer", "flag", "maybe")
-    with pytest.raises(ConfigError):
-        spec.get_bool("optimizer", "flag")
+    with pytest.raises(ConfigError, match=r"optimizer\.flag: not a boolean"):
+        spec.fields("optimizer", q=float, flag=bool)
 
 
 def test_runspec_fields_reads_set_keys_and_refuses_the_rest():
@@ -90,9 +97,10 @@ def test_load_spec_ini(tmp_path):
     path.write_text("[run]\nseeds = 0..2\noptimizer = rr\n"
                     "[optimizer]\nepsilon = 0.0078125\n")
     spec = load_spec(str(path))
-    assert spec.seeds() == [0, 1, 2]
-    assert spec.get_float("optimizer", "epsilon") == 2.0 ** -7
-    assert load_spec(None).seeds() == [0]
+    assert spec.fields("run", seeds=str, optimizer=str) == {
+        "seeds": "0..2", "optimizer": "rr"}
+    assert spec.fields("optimizer", epsilon=float) == {"epsilon": 2.0 ** -7}
+    assert load_spec(None) == RunSpec()
 
 
 def test_load_spec_rejects_unknown_section(tmp_path):
@@ -106,8 +114,8 @@ def test_load_spec_rejects_unknown_section(tmp_path):
 
 def test_parse_overrides():
     spec = parse_overrides(RunSpec(), ["run.seeds=0..4", "optimizer.q=10"])
-    assert spec.get("run", "seeds") == "0..4"
-    assert spec.get("optimizer", "q") == "10"
+    assert spec.run == {"seeds": "0..4"}
+    assert spec.optimizer == {"q": "10"}
     for bad in ("runseeds", "run.=1", ".key=1", "=x"):
         with pytest.raises(ConfigError):
             parse_overrides(RunSpec(), [bad])
@@ -330,10 +338,11 @@ def test_readme_spec_example_is_accepted(tmp_path):
     path = tmp_path / "example.ini"
     path.write_text(example)
     spec = load_spec(str(path))
-    config = optimizer_config(spec, spec.get_str("run", "optimizer"),
-                              spec.get_int("run", "budget"))
+    run = spec.fields("run", optimizer=str, sizes=str, seeds=str,
+                      budget=int, threshold=float, workers=int)
+    config = optimizer_config(spec, run["optimizer"], run["budget"])
     assert (config.q, config.d_max) == (400, 1)
-    build_instance("qaoa", spec.sizes()[0], spec, SeededRng(0))
+    build_instance("qaoa", expand_ints(run["sizes"])[0], spec, SeededRng(0))
 
 
 def test_run_single_crosses_immediately_with_loose_threshold():
@@ -519,6 +528,17 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     ["toy", "--set", "run.sizes=4"],
     ["toy", "--set", "run.workers=2"],  # toy runs its seeds serially
     ["bounds", "--set", "run.seeds=0..3"],
+    ["qaoa", "--workers", "0"],
+    ["qaoa", "--workers", "-3"],
+    ["toy", "--budget", "-5"],  # 0 means no budget; below it is refused
+    # driver values that would fail mid-run or void the acceptance rule
+    ["qaoa", "--set", "optimizer.delta=-1"],
+    ["qaoa", "--set", "optimizer.delta=0"],
+    ["qaoa", "--set", "optimizer.delta=nan"],
+    ["qaoa", "--set", "optimizer.delta=inf"],
+    ["qaoa", "--set", "optimizer.lipschitz=inf"],
+    ["qaoa", "--set", "optimizer.q=nan"],
+    ["qaoa", "--set", "optimizer.max_steps=-2"],
 ])
 def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
     """A value an optimizer config or an instance rejects, or a key its

@@ -137,8 +137,12 @@ def test_driver_config_validation():
         DriverConfig(acceptance="always")
     with pytest.raises(ValueError):
         DriverConfig(epsilon_line=0.3)
-    with pytest.raises(ValueError):
-        DriverConfig(lipschitz=0.0)
+    for bad in ({"lipschitz": 0.0}, {"lipschitz": math.inf},
+                {"delta": 0.0}, {"delta": math.inf}, {"delta": math.nan},
+                {"q": math.nan}, {"max_steps": -1}):
+        with pytest.raises(ValueError):
+            DriverConfig(**bad)
+    DriverConfig(q=0.0, max_steps=0)  # both bounds are inclusive
 
 
 # ----------------------------------------------------- direction sets

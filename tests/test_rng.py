@@ -121,6 +121,18 @@ CHILDREN_CASES = [
 
 
 @pytest.mark.parametrize("seed, key, prefix", CHILDREN_CASES)
+def test_child_draws_numpys_seed_sequence_bits(seed, key, prefix):
+    """A child stream is numpy's default generator seeded through the
+    public SeedSequence on the root seed and the whole key path, so a
+    seed's bits rest on numpy's API and not on this module."""
+    parent = SeededRng(seed, key=key)
+    for k in (0, 1, 2 ** 31, 2 ** 32 - 1):
+        gen = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=key + prefix + (k,)))
+        assert np.array_equal(_draws(parent.child(*prefix, k)), _draws(gen))
+
+
+@pytest.mark.parametrize("seed, key, prefix", CHILDREN_CASES)
 def test_children_draw_the_bits_of_child(seed, key, prefix):
     keys = np.concatenate([
         [0, 1, 2, 2 ** 32 - 1, 2 ** 31],
