@@ -15,9 +15,9 @@ class SpsaConfig:
     """Simultaneous-perturbation settings.
 
     Gains follow the usual guidance: a_k = a / (A + k + 1)^alpha and
-    c_k = c / (k + 1)^gamma with alpha = 0.602, gamma = 0.101. When a is
-    not given it is calibrated as 0.1 * (A + 1)^alpha so the first update
-    has magnitude 0.1 * |ghat_0|; A defaults to 0.1 * max_iters.
+    c_k = c / (k + 1)^gamma with alpha = 0.602, gamma = 0.101 and
+    A = 0.1 * max_iters. When a is not given it is calibrated as
+    0.1 * (A + 1)^alpha so the first update has magnitude 0.1 * |ghat_0|.
     """
 
     max_iters: int = 200
@@ -26,7 +26,6 @@ class SpsaConfig:
     c: float = 0.1
     alpha: float = 0.602
     gamma: float = 0.101
-    big_a: Optional[float] = None
     budget: Optional[int] = None
 
     def __post_init__(self):
@@ -34,13 +33,17 @@ class SpsaConfig:
             raise ValueError("max_iters must be non-negative")
         if self.shots_per_eval < 1:
             raise ValueError("shots_per_eval must be positive")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
+        for name in ("a", "alpha", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
 
     def gains(self):
-        big_a = 0.1 * self.max_iters if self.big_a is None else self.big_a
-        a = 0.1 * (big_a + 1.0) ** self.alpha if self.a is None else self.a
-        return a, big_a
+        stability = 0.1 * self.max_iters
+        a = 0.1 * (stability + 1.0) ** self.alpha if self.a is None else self.a
+        return a, stability
 
 
 def spsa_gradient(y_plus, y_minus, c_k, delta):
@@ -64,7 +67,7 @@ def spsa(bandit, start, cfg, rng, stop_condition=None):
     """
     theta = np.clip(np.asarray(start, dtype=np.float64), 0.0, 1.0)
     d = theta.shape[0]
-    a, big_a = cfg.gains()
+    a, stability = cfg.gains()
     shots = cfg.shots_per_eval
     res = DriverResult(theta.copy(), math.nan, 0)
     for k in range(cfg.max_iters):
@@ -79,7 +82,7 @@ def spsa(bandit, start, cfg, rng, stop_condition=None):
                                               rng.child(k, 1)).tolist()
         res.samples_used += 2 * shots
         ghat = spsa_gradient(y_plus, y_minus, c_k, delta)
-        a_k = a / (big_a + k + 1.0) ** cfg.alpha
+        a_k = a / (stability + k + 1.0) ** cfg.alpha
         theta = np.clip(theta - a_k * ghat, 0.0, 1.0)
         res.point = theta.copy()
         res.value = 0.5 * (y_plus + y_minus)
@@ -106,6 +109,8 @@ class PowellBrentConfig:
             raise ValueError("max_iters must be positive")
         if self.shots_per_eval < 1:
             raise ValueError("shots_per_eval must be positive")
+        if not (0 <= self.xtol < math.inf and 0 <= self.ftol < math.inf):
+            raise ValueError("xtol and ftol must be finite and non-negative")
 
 
 class _BudgetExhausted(Exception):

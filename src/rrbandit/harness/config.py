@@ -61,8 +61,7 @@ def checked(section, build, *args, **kwargs):
         raise ConfigError(f"{section}: {exc}") from None
 
 
-# the [optimizer] keys of SpsaConfig; big_a, acceptance and budget are not
-# spec keys
+# the [optimizer] keys of SpsaConfig; budget is not a spec key
 SPSA_KEYS = {"max_iters": int, "shots_per_eval": int, "a": float,
              "c": float, "alpha": float, "gamma": float}
 
@@ -81,16 +80,16 @@ def spsa_config(settings, budget, shots_per_eval, max_iters=None):
     return SpsaConfig(budget=budget, **settings)
 
 
-def expand_seeds(text: str) -> list[int]:
-    """Expand a seed expression into a sorted list of distinct seeds.
+def expand_ints(text: str, key: str) -> list[int]:
+    """Expand the integer list of spec key `key` into sorted distinct values.
 
     Accepts comma-separated entries where each entry is either a single
-    non-negative integer or an inclusive range "a..b".
+    non-negative integer or an inclusive range "a..b". Errors name the key.
 
-    >>> expand_seeds("0..3, 7")
+    >>> expand_ints("0..3, 7", "run.seeds")
     [0, 1, 2, 3, 7]
     """
-    seeds: set[int] = set()
+    values: set[int] = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -100,38 +99,20 @@ def expand_seeds(text: str) -> list[int]:
             try:
                 lo, hi = int(lo_s), int(hi_s)
             except ValueError:
-                raise ConfigError(f"bad seed range {part!r}") from None
+                raise ConfigError(f"{key}: bad range {part!r}") from None
             if lo > hi:
-                raise ConfigError(f"empty seed range {part!r}")
-            seeds.update(range(lo, hi + 1))
+                raise ConfigError(f"{key}: empty range {part!r}")
+            values.update(range(lo, hi + 1))
         else:
             try:
-                seeds.add(int(part))
+                values.add(int(part))
             except ValueError:
-                raise ConfigError(f"bad seed {part!r}") from None
-    if not seeds:
-        raise ConfigError(f"no seeds in {text!r}")
-    if min(seeds) < 0:
-        raise ConfigError("seeds must be non-negative")
-    return sorted(seeds)
-
-
-def expand_ints(text: str) -> list[int]:
-    """Like expand_seeds but for size lists; order of appearance kept."""
-    out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            value = int(part)
-        except ValueError:
-            raise ConfigError(f"bad integer {part!r}") from None
-        if value not in out:
-            out.append(value)
-    if not out:
-        raise ConfigError(f"no values in {text!r}")
-    return out
+                raise ConfigError(f"{key}: bad integer {part!r}") from None
+    if not values:
+        raise ConfigError(f"{key}: no values in {text!r}")
+    if min(values) < 0:
+        raise ConfigError(f"{key}: values must be non-negative")
+    return sorted(values)
 
 
 @dataclass

@@ -18,8 +18,7 @@ from .. import rr
 from ..baselines import spsa
 from ..bandits import GaussianBandit
 from ..rng import SeededRng
-from .config import (SPSA_KEYS, ConfigError, checked, expand_seeds,
-                     spsa_config)
+from .config import SPSA_KEYS, ConfigError, checked, expand_ints, spsa_config
 from .output import write_csv
 
 N_CELLS = 20
@@ -155,7 +154,7 @@ def run_toy(spec):
                           f"got {optimizer!r}")
     if run.get("workers", 1) != 1:
         raise ConfigError("run.workers must be 1: toy runs its seeds serially")
-    seeds = expand_seeds(run.get("seeds", "0"))
+    seeds = expand_ints(run.get("seeds", "0"), "run.seeds")
     budget = run.get("budget", 0)  # 0: no budget
     if budget < 0:
         raise ConfigError(f"run.budget must be non-negative, got {budget}")

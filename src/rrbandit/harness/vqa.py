@@ -22,8 +22,7 @@ from ..baselines import PowellBrentConfig, powell_brent, spsa
 from ..lines import DriverConfig, powell_driver, random_direction_driver
 from ..qsim import MAX_QUBITS, PqcBandit, QaoaBandit, erdos_renyi
 from ..rng import SeededRng
-from .config import (SPSA_KEYS, ConfigError, checked, expand_ints,
-                     expand_seeds, spsa_config)
+from .config import SPSA_KEYS, ConfigError, checked, expand_ints, spsa_config
 from .output import write_csv
 
 VQA_EXPERIMENTS = ("pqc", "qaoa")
@@ -227,8 +226,8 @@ def run_vqa(experiment, spec):
     workers = run.get("workers", 1)
     if workers < 1:
         raise ConfigError(f"run.workers must be at least 1, got {workers}")
-    sizes = expand_ints(run.get("sizes", "4"))
-    seeds = expand_seeds(run.get("seeds", "0"))
+    sizes = expand_ints(run.get("sizes", "4"), "run.sizes")
+    seeds = expand_ints(run.get("seeds", "0"), "run.seeds")
     out_dir = run.get("out", os.path.join("results", experiment))
 
     config = optimizer_config(spec, optimizer, budget)

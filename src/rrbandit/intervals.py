@@ -35,15 +35,8 @@ class IntervalSet:
     def unit(cls):
         return cls([(0.0, 1.0)])
 
-    def is_empty(self):
-        return not self.spans
-
     def measure(self):
         return float(sum(b - a for a, b in self.spans))
-
-    def contains(self, x):
-        x = float(x)
-        return any(a - EPSILON <= x <= b + EPSILON for a, b in self.spans)
 
     def subtract(self, other):
         """Set difference, closed semantics: kept pieces include their endpoints."""
@@ -64,12 +57,6 @@ class IntervalSet:
             if b - cur > EPSILON:
                 out.append((cur, b))
         return IntervalSet(out)
-
-    def intersect(self, other):
-        return self.subtract(self.subtract(other))
-
-    def union(self, other):
-        return IntervalSet(self.spans + other.spans)
 
     def __eq__(self, other):
         if not isinstance(other, IntervalSet):

@@ -39,11 +39,6 @@ def _ones(values, n):
     return ones
 
 
-def zeros_fractions(n):
-    """Fraction of zero bits in each n-bit basis state."""
-    return (n - _ones(np.arange(1 << n, dtype=np.int64), n)) / n
-
-
 def cz_chain_signs(n):
     """Diagonal of CZ on every neighbor pair (q, q + 1) of n qubits:
     (-1)^(number of neighbor pairs whose bits are both 1), as float64."""
@@ -186,9 +181,11 @@ class PqcBandit(_ShotBandit):
             raise ValueError("need at least one layer")
         self.dimension = self.n * self.layers
         self.lipschitz = float(lipschitz)
-        self.rewards = 1.0 - zeros_fractions(self.n)
         self.numerators = _ones(np.arange(1 << self.n, dtype=np.int64), self.n)
         self.denominator = self.n
+        # 1 - (fraction of zero bits), not numerators / n, which rounds
+        # differently (1/3 against 1 - 2/3) and would move mean()'s bits
+        self.rewards = 1.0 - (self.n - self.numerators) / self.n
         self.cz_signs = cz_chain_signs(self.n)
         self.steps = self.layers
         self.step_of = np.arange(self.dimension, dtype=np.int64) // self.n
@@ -232,14 +229,14 @@ class QaoaBandit(_ShotBandit):
             raise ValueError("need at least one layer")
         self.dimension = 2 * self.layers
         self.lipschitz = float(lipschitz)
-        # the integer cut table doubles as the phase gate's index into its
-        # levels 0..maxcut, so no second 2^n array is kept
-        self.cuts = cut_values(graph)
-        self.maxcut = int(self.cuts.max())
-        self.levels = np.arange(self.maxcut + 1, dtype=np.float64)
-        self.rewards = 1.0 - self.cuts / self.maxcut
-        self.numerators = self.maxcut - self.cuts
+        cuts = cut_values(graph)
+        self.maxcut = int(cuts.max())
+        self.rewards = 1.0 - cuts / self.maxcut
+        self.numerators = self.maxcut - cuts
         self.denominator = self.maxcut
+        # the phase gate indexes its levels by numerator, so levels run
+        # maxcut, maxcut - 1, ..., 0 and no cut table is kept
+        self.levels = np.arange(self.maxcut, -1, -1, dtype=np.float64)
         self.uniform = uniform_amplitude(graph.n)
         self.steps = 2 * self.layers
         layer = np.arange(self.layers, dtype=np.int64)
@@ -248,7 +245,7 @@ class QaoaBandit(_ShotBandit):
     def state(self, params, stop=None, prefix=None):
         if prefix is None:
             start = 0
-            state = np.full(params.shape[:-1] + self.cuts.shape,
+            state = np.full(params.shape[:-1] + self.numerators.shape,
                             self.uniform, dtype=np.complex128)
         else:
             start, state = _copies(prefix, params.shape[:-1])
@@ -262,5 +259,6 @@ class QaoaBandit(_ShotBandit):
                 apply_rotation(state, range(self.graph.n), "x",
                                2.0 * betas[..., layer])
             else:
-                apply_phase(state, self.levels, self.cuts, gammas[..., layer])
+                apply_phase(state, self.levels, self.numerators,
+                            gammas[..., layer])
         return state

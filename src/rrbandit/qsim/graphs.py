@@ -1,4 +1,4 @@
-"""Simple undirected graphs, random instances, and exact max-cut."""
+"""Simple undirected graphs, random instances, and their exact cut tables."""
 
 from dataclasses import dataclass
 from typing import Tuple
@@ -63,8 +63,3 @@ def cut_values(graph):
         return np.zeros(1 << graph.n, dtype=np.int64)
     eu, ev = graph.edge_arrays()
     return _accel.cut_values(graph.n, eu, ev)
-
-
-def maxcut_bruteforce(graph):
-    """Exact max-cut: the largest entry of the cut table (0 with no edges)."""
-    return int(cut_values(graph).max())

@@ -229,8 +229,3 @@ def apply_phase(state, levels, index, angle):
 
 def probabilities(state):
     return np.abs(state) ** 2
-
-
-def norm(state):
-    return float(np.sqrt(np.real(np.vdot(state, state))))
-

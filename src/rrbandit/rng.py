@@ -2,9 +2,12 @@
 
 Every stream is numpy's PCG64 seeded from np.random.SeedSequence(seed,
 spawn_key=key), so its bits depend only on the root seed and its integer
-key path. A SeededRng builds its generator on its first draw: a stream
-that only spawns children never seeds one. An elimination round draws
-all of its arms, in arm order, from one such stream (see rrbandit.rr).
+key path; child(*key) extends the path by key. A SeededRng builds its
+generator on its first draw: a stream that only spawns children never
+seeds one. An elimination round draws all of its arms, in arm order,
+from one such stream (see rrbandit.rr). A copy (copy.copy, copy.deepcopy
+or pickle) has a generator of its own and draws what the original would
+draw next.
 """
 
 import copy
@@ -37,22 +40,6 @@ class SeededRng:
 
     def child(self, *key):
         return SeededRng(self.seed, self.key + key)
-
-    def children(self, prefix, keys):
-        """The streams child(*prefix, k) for each k in keys, in order.
-
-        keys is a 1-d sequence of integers in [0, 2**32). Each stream is
-        independent: they may be drawn in any order and interleaved.
-        """
-        base = self.child(*prefix)
-        keys = np.asarray(keys)
-        if keys.size == 0:
-            return []
-        if (keys.ndim != 1 or keys.dtype.kind not in "iu"
-                or keys.min() < 0 or keys.max() > 0xFFFFFFFF):
-            raise ValueError(
-                "keys must be a 1-d sequence of integers in [0, 2**32)")
-        return [base.child(k) for k in keys.tolist()]
 
     def __copy__(self):
         # a copy draws what the original draws next, from a generator of

@@ -92,10 +92,10 @@ class RRConfig:
 
     def __post_init__(self):
         dyadic_depth(self.epsilon)
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if not self.lipschitz > 0:
-            raise ValueError("lipschitz must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not 0 < self.lipschitz < math.inf:
+            raise ValueError("lipschitz must be positive and finite")
 
     @property
     def depth(self):

@@ -53,11 +53,11 @@ def test_gradient_estimate_even_in_perturbation():
 
 def test_gain_calibration():
     cfg = SpsaConfig(max_iters=100)
-    a, big_a = cfg.gains()
-    assert big_a == pytest.approx(10.0)
+    a, stability = cfg.gains()
+    assert stability == pytest.approx(10.0)
     assert a == pytest.approx(0.1 * 11.0 ** 0.602)
-    explicit = SpsaConfig(max_iters=100, a=0.5, big_a=3.0)
-    assert explicit.gains() == (0.5, 3.0)
+    explicit = SpsaConfig(max_iters=100, a=0.5)
+    assert explicit.gains() == (0.5, 10.0)
 
 
 def test_spsa_config_validation():

@@ -12,7 +12,7 @@ from rrbandit.harness import (ConfigError, RunSpec, aggregate, build_instance,
                               load_spec, parse_overrides, run_bounds,
                               run_single, run_toy, run_vqa)
 from rrbandit.harness.cli import main
-from rrbandit.harness.config import expand_ints, expand_seeds
+from rrbandit.harness.config import expand_ints
 from rrbandit.harness.output import fmt_value, write_csv
 from rrbandit.harness.toy import (WEDGE_SLOPE, make_toy_bandit,
                                   smooth_minimizer, smooth_profile,
@@ -31,18 +31,20 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 # ----------------------------------------------------------- spec files
 
 def test_expand_seeds():
-    assert expand_seeds("0..3, 7") == [0, 1, 2, 3, 7]
-    assert expand_seeds("5") == [5]
-    assert expand_seeds("4,2,2") == [2, 4]
+    assert expand_ints("0..3, 7", "run.seeds") == [0, 1, 2, 3, 7]
+    assert expand_ints("5", "run.seeds") == [5]
+    assert expand_ints("4,2,2", "run.seeds") == [2, 4]
     for bad in ("", "a", "3..1", "-1", "1..x"):
-        with pytest.raises(ConfigError):
-            expand_seeds(bad)
+        with pytest.raises(ConfigError, match=r"^run\.seeds: "):
+            expand_ints(bad, "run.seeds")
 
 
 def test_expand_ints_keeps_order():
-    assert expand_ints("8,4,6,4") == [8, 4, 6]
-    with pytest.raises(ConfigError):
-        expand_ints("8,oops")
+    """Sizes take the same rules as seeds: sorted and deduplicated."""
+    assert expand_ints("8,4,6,4", "run.sizes") == [4, 6, 8]
+    assert expand_ints("3..5,9", "run.sizes") == [3, 4, 5, 9]
+    with pytest.raises(ConfigError, match=r"^run\.sizes: "):
+        expand_ints("8,oops", "run.sizes")
 
 
 def test_runspec_typed_getters():
@@ -342,7 +344,8 @@ def test_readme_spec_example_is_accepted(tmp_path):
                       budget=int, threshold=float, workers=int)
     config = optimizer_config(spec, run["optimizer"], run["budget"])
     assert (config.q, config.d_max) == (400, 1)
-    build_instance("qaoa", expand_ints(run["sizes"])[0], spec, SeededRng(0))
+    build_instance("qaoa", expand_ints(run["sizes"], "run.sizes")[0], spec,
+                   SeededRng(0))
 
 
 def test_run_single_crosses_immediately_with_loose_threshold():
@@ -503,6 +506,19 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert main(["toy", str(tmp_path / "no-such-spec.ini")]) == 2
 
 
+def test_cli_sizes_take_ranges_in_any_order(tmp_path, capsys):
+    """--sizes 4,3,4 and --sizes 3..4 write the bytes --sizes 3,4 writes."""
+    outputs = []
+    for i, sizes in enumerate(("3,4", "4,3,4", "3..4")):
+        out_dir = tmp_path / str(i)
+        assert main(["qaoa", "--sizes", sizes, "--seeds", "1,0",
+                     "--budget", "20000", "--out", str(out_dir)]) == 0
+        outputs.append([(out_dir / name).read_bytes()
+                        for name in ("runs.csv", "aggregate.csv")])
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["qaoa", "--set", "optimizer.epsilon_line=0.3"],
     ["pqc", "--optimizer", "spsa", "--set", "optimizer.c=0"],
@@ -539,6 +555,20 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     ["qaoa", "--set", "optimizer.lipschitz=inf"],
     ["qaoa", "--set", "optimizer.q=nan"],
     ["qaoa", "--set", "optimizer.max_steps=-2"],
+    # non-finite rr, SPSA and Powell-Brent values, and negative tolerances
+    ["toy", "--seeds", "0", "--set", "optimizer.delta=inf"],
+    ["toy", "--seeds", "0", "--set", "optimizer.lipschitz=inf"],
+    ["toy", "--optimizer", "spsa", "--seeds", "0", "--set", "optimizer.c=nan"],
+    ["toy", "--optimizer", "spsa", "--seeds", "0",
+     "--set", "optimizer.alpha=inf"],
+    ["qaoa", "--optimizer", "spsa", "--sizes", "3", "--seeds", "0",
+     "--budget", "100000", "--set", "optimizer.a=nan"],
+    ["qaoa", "--optimizer", "spsa", "--sizes", "3", "--seeds", "0",
+     "--budget", "100000", "--set", "optimizer.c=inf"],
+    ["qaoa", "--optimizer", "powell_brent", "--sizes", "3", "--seeds", "0",
+     "--budget", "100000", "--set", "optimizer.xtol=nan"],
+    ["qaoa", "--optimizer", "powell_brent", "--sizes", "3", "--seeds", "0",
+     "--budget", "100000", "--set", "optimizer.ftol=-1"],
 ])
 def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
     """A value an optimizer config or an instance rejects, or a key its

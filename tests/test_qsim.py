@@ -15,8 +15,7 @@ from rrbandit.qsim import (Graph, MAX_QUBITS, PqcBandit, QaoaBandit,
                            apply_cz, apply_hadamard, apply_phase,
                            apply_rotation, complete_graph,
                            cut_values, erdos_renyi, expected_reward,
-                           maxcut_bruteforce, norm, num_qubits, path_graph,
-                           probabilities, zero_state, zeros_fractions)
+                           num_qubits, path_graph, probabilities, zero_state)
 from rrbandit.qsim import costs
 from rrbandit.qsim.costs import TWO_PI, cz_chain_signs, uniform_amplitude
 from rrbandit.qsim.statevector import batch_size
@@ -147,8 +146,9 @@ def per_amplitude_phase(state, values, angle):
 
 def test_phase_over_levels_is_bitwise_the_per_amplitude_exp():
     """Gathering exp of the levels gives the same bits as exp of every
-    amplitude's value: for a cut table indexing the levels 0..maxcut, as
-    QaoaBandit does, and for a real-valued table and its distinct values."""
+    amplitude's value: for a cut table indexing the levels 0..maxcut, for
+    maxcut - cut indexing the levels maxcut..0, as QaoaBandit does, and for
+    a real-valued table and its distinct values."""
     gen = SeededRng(15)
     for n in range(2, 15):
         rng = gen.child(n)
@@ -157,7 +157,10 @@ def test_phase_over_levels_is_bitwise_the_per_amplitude_exp():
         for values, levels, index in (
                 (cuts.astype(np.float64),
                  np.arange(cuts.max() + 1, dtype=np.float64), cuts),
-                (reals, *np.unique(reals, return_inverse=True))):
+                (reals, *np.unique(reals, return_inverse=True)),
+                (cuts.astype(np.float64),
+                 np.arange(cuts.max(), -1, -1, dtype=np.float64),
+                 cuts.max() - cuts)):
             psi = random_state(n, rng)
             angle = float(rng.uniform(-7.0, 7.0))
             got = apply_phase(psi.copy(), levels, index, angle)
@@ -284,12 +287,12 @@ def test_norm_conserved_by_random_gates():
             apply_cz(psi, int(q1), int(q2))
         else:
             apply_hadamard(psi, int(rng.integers(0, 6)))
-        assert abs(norm(psi) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
     assert probabilities(psi).sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_cut_values_match_independent_enumeration():
-    """Cut tables and maxima against a per-edge count over every mask;
+    """Cut tables against a per-edge count over every mask;
     the n = 17 and 18 graphs span more than one 2^16-mask chunk."""
     gen = SeededRng(51)
     for i, n in enumerate([2, 3, 5, 7, 9, 17, 18]):
@@ -301,7 +304,6 @@ def test_cut_values_match_independent_enumeration():
         for u, v in g.edges:
             expect += ((masks >> u) & 1) != ((masks >> v) & 1)
         assert np.array_equal(cut_values(g), expect)
-        assert maxcut_bruteforce(g) == int(expect.max())
 
 
 # ---------------------------------------------------------- sampling
@@ -344,12 +346,12 @@ def reference_qaoa_state(bandit, params):
     p = bandit.layers
     gammas = TWO_PI * params[..., :p]
     betas = TWO_PI * params[..., p:]
+    cuts = cut_values(bandit.graph).astype(np.float64)
     state = zero_state(bandit.graph.n, params.shape[:-1])
     for q in range(bandit.graph.n):
         apply_hadamard(state, q)
     for layer in range(p):
-        per_amplitude_phase(state, bandit.cuts.astype(np.float64),
-                            gammas[..., layer])
+        per_amplitude_phase(state, cuts, gammas[..., layer])
         for q in range(bandit.graph.n):
             apply_rotation(state, q, "x", 2.0 * betas[..., layer])
     return state
@@ -556,7 +558,8 @@ def test_level_probabilities_are_the_outcome_probabilities_by_level(family,
 def test_reward_numerators_over_the_denominator_are_the_rewards():
     qaoa = prefix_bandit("qaoa2", 8)
     pqc = PqcBandit(6)
-    assert np.array_equal(qaoa.numerators, qaoa.maxcut - qaoa.cuts)
+    assert np.array_equal(qaoa.numerators,
+                          qaoa.maxcut - cut_values(qaoa.graph))
     assert qaoa.denominator == qaoa.maxcut
     assert np.array_equal(pqc.numerators, [bin(z).count("1")
                                            for z in range(1 << 6)])
@@ -603,8 +606,9 @@ def test_single_shot_levels_follow_the_born_distribution(family):
 # --------------------------------------------------------- objectives
 
 def test_zeros_fractions():
-    assert np.array_equal(zeros_fractions(2), [1.0, 0.5, 0.5, 0.0])
-    assert zeros_fractions(3)[5] == pytest.approx(1.0 / 3.0)  # 101
+    """A PQC shot scores 1 - its fraction of zero bits."""
+    assert np.array_equal(PqcBandit(2).rewards, [0.0, 0.5, 0.5, 1.0])
+    assert PqcBandit(3).rewards[5] == pytest.approx(2.0 / 3.0)  # 101
 
 
 def test_expected_reward_uniform_is_exact_mean():
@@ -646,7 +650,8 @@ def test_qaoa_triangle_zero_angles_exact_quarter():
     and the two reward values are 0 and 1, so the mean is exactly 2/8.
     """
     bandit = QaoaBandit(complete_graph(3), layers=2)
-    assert sorted(bandit.cuts.tolist()) == [0, 0, 2, 2, 2, 2, 2, 2]
+    cuts = sorted(cut_values(bandit.graph).tolist())
+    assert cuts == [0, 0, 2, 2, 2, 2, 2, 2]
     assert bandit.maxcut == 2
     assert bandit.mean(np.zeros(4)) == 0.25
 
@@ -714,11 +719,10 @@ def test_graph_constructors():
 
 
 def test_maxcut_known_graphs():
-    assert maxcut_bruteforce(complete_graph(3)) == 2
-    assert maxcut_bruteforce(path_graph(4)) == 3
-    assert maxcut_bruteforce(complete_graph(4)) == 4
-    assert maxcut_bruteforce(Graph(2, ((0, 1),))) == 1
-    assert maxcut_bruteforce(Graph(3, ())) == 0
+    for graph, maxcut in ((complete_graph(3), 2), (path_graph(4), 3),
+                          (complete_graph(4), 4), (Graph(2, ((0, 1),)), 1),
+                          (Graph(3, ()), 0)):
+        assert cut_values(graph).max() == maxcut
 
 
 def independent_maxcut(graph):
@@ -739,10 +743,9 @@ def test_maxcut_matches_independent_enumeration():
         g = erdos_renyi(n, rng, 0.5)
         if g.m == 0:
             continue
-        assert maxcut_bruteforce(g) == independent_maxcut(g)
-        assert QaoaBandit(g).maxcut == independent_maxcut(g)
         table = cut_values(g)
-        assert int(table.max()) == maxcut_bruteforce(g)
+        assert table.max() == independent_maxcut(g)
+        assert QaoaBandit(g).maxcut == independent_maxcut(g)
         # cut(z) is symmetric under complementing the mask
         assert np.array_equal(table, table[::-1])
 

@@ -64,9 +64,11 @@ def test_repr_names_seed_and_key():
     assert "seed=7" in repr(SeededRng(7, key=(4,)))
 
 
-@pytest.mark.parametrize("clone", [
-    lambda rng: pickle.loads(pickle.dumps(rng)), copy.deepcopy, copy.copy,
-], ids=["pickle", "deepcopy", "copy"])
+CLONES = [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy]
+CLONE_IDS = ["pickle", "deepcopy", "copy"]
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
 def test_copied_stream_draws_the_bits_of_the_original(clone):
     original = SeededRng(3, (1,))
     copied = clone(original)
@@ -76,15 +78,15 @@ def test_copied_stream_draws_the_bits_of_the_original(clone):
     assert copied.random(6).tobytes() == original.random(6).tobytes()
 
 
-@pytest.mark.parametrize("clone", [
-    lambda rng: pickle.loads(pickle.dumps(rng)), copy.deepcopy,
-], ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
 def test_copy_of_a_drawn_stream_continues_where_it_stopped(clone):
     original = SeededRng(3, (1,))
     original.random(5)
     copied = clone(original)
-    assert copied.standard_normal(6).tobytes() == original.standard_normal(
-        6).tobytes()
+    # the copy has a generator of its own: the original's draws leave it
+    # where it was
+    expect = original.standard_normal(6).tobytes()
+    assert copied.standard_normal(6).tobytes() == expect
 
 
 def test_child_of_undrawn_parent_matches_child_of_drawn_parent():
@@ -107,7 +109,7 @@ def _draws(stream):
 
 # (seed, key, prefix): seeds and prefix entries below, at and above 2^32
 # and 2^64 take one, two and three or more SeedSequence words
-CHILDREN_CASES = [
+CHILD_CASES = [
     (0, (), ()),
     (0, (), (1,)),
     (7, (2,), (5,)),
@@ -120,7 +122,7 @@ CHILDREN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("seed, key, prefix", CHILDREN_CASES)
+@pytest.mark.parametrize("seed, key, prefix", CHILD_CASES)
 def test_child_draws_numpys_seed_sequence_bits(seed, key, prefix):
     """A child stream is numpy's default generator seeded through the
     public SeedSequence on the root seed and the whole key path, so a
@@ -130,74 +132,3 @@ def test_child_draws_numpys_seed_sequence_bits(seed, key, prefix):
         gen = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=key + prefix + (k,)))
         assert np.array_equal(_draws(parent.child(*prefix, k)), _draws(gen))
-
-
-@pytest.mark.parametrize("seed, key, prefix", CHILDREN_CASES)
-def test_children_draw_the_bits_of_child(seed, key, prefix):
-    keys = np.concatenate([
-        [0, 1, 2, 2 ** 32 - 1, 2 ** 31],
-        np.random.default_rng(seed % 1000).integers(0, 2 ** 32, size=395),
-    ]).astype(np.int64)
-    parent = SeededRng(seed, key=key)
-    streams = parent.children(prefix, keys)
-    assert len(streams) == keys.size
-    for stream, k in zip(streams, keys.tolist()):
-        assert np.array_equal(_draws(stream),
-                              _draws(parent.child(*prefix, k)))
-
-
-def test_children_accept_any_integer_key_sequence():
-    parent = SeededRng(4)
-    expect = [parent.child(9, k).random() for k in (0, 3, 2 ** 32 - 1)]
-    for keys in ([0, 3, 2 ** 32 - 1],
-                 np.array([0, 3, 2 ** 32 - 1], dtype=np.uint32),
-                 np.array([0, 3, 2 ** 32 - 1], dtype=np.uint64)):
-        assert [s.random() for s in parent.children((9,), keys)] == expect
-    assert parent.children((9,), []) == []
-
-
-@pytest.mark.parametrize("keys", [[-1], [0, 2 ** 32], [2 ** 40], [2 ** 70],
-                                  [0.5], [[1, 2]]])
-def test_children_refuse_keys_outside_one_word(keys):
-    with pytest.raises(ValueError):
-        SeededRng(0).children((1,), keys)
-
-
-def test_children_refuse_negative_prefix():
-    with pytest.raises(ValueError):
-        SeededRng(0).children((-1,), [0])
-
-
-CLONES = [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy]
-CLONE_IDS = ["pickle", "deepcopy", "copy"]
-
-
-@pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
-@pytest.mark.parametrize("drawn", [False, True], ids=["undrawn", "drawn"])
-def test_copied_children_stream_draws_what_the_original_draws_next(
-        clone, drawn):
-    parent = SeededRng(5)
-    a, b = parent.children((2,), [0, 1])
-    if drawn:
-        a.random(3)
-    copied = clone(a)
-    expect = parent.child(2, 0)
-    if drawn:
-        expect.random(3)
-    # the copy has a generator of its own, so a sibling's draws and the
-    # original's own draws leave it where it was
-    b.random(2)
-    assert _draws(copied).tobytes() == _draws(expect).tobytes()
-    if not drawn:
-        assert _draws(a).tobytes() == _draws(parent.child(2, 0)).tobytes()
-
-
-@pytest.mark.parametrize("clone", CLONES, ids=CLONE_IDS)
-def test_copy_of_a_held_stream_leaves_the_original_its_place(clone):
-    parent = SeededRng(8)
-    (a,) = parent.children((4,), [7])
-    a.random(2)
-    copied = clone(a)
-    expect = parent.child(4, 7).random(8)
-    assert copied.random(6).tobytes() == expect[2:].tobytes()
-    assert a.random(6).tobytes() == expect[2:].tobytes()
