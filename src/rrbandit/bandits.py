@@ -9,13 +9,13 @@ class Bandit:
     """Base reward source on [0,1]^d; smaller mean is better.
 
     mean(x) is the exact-mean oracle and may be unavailable for some
-    sources. sample_means(points, n, rng) is a source's one draw: it
-    pulls every point n times, drawing all of them from the one stream
-    rng in point order, and returns the averages as a float64 array. Every
-    pull of a point shares it, so sources draw each average from a
-    sufficient statistic (a Gaussian mean, a shot histogram) rather than
-    pull by pull, and a point's draws depend on the points before it in
-    the call. sample_mean(x, n, rng) is that draw at the one point x.
+    sources. sample_means(points, n, rng) is a source's one draw: it pulls
+    each of the k points, a float64 array of shape (k,) or (k, d), n times
+    from the one stream rng in point order and returns the k averages in a
+    float64 array. Every pull of a point shares it, so sources draw each
+    average from a sufficient statistic (a Gaussian mean, a shot
+    histogram) rather than pull by pull, and a point's draws depend on the
+    points before it. sample_mean(x, n, rng) is the draw on [x].
 
     sigma is the noise scale: one pull minus its mean is
     sigma-sub-Gaussian. Elimination scales its pull counts by it, so a
@@ -30,7 +30,7 @@ class Bandit:
         raise NotImplementedError
 
     def sample_mean(self, x, n, rng):
-        return float(self.sample_means([x], n, rng)[0])
+        return float(self.sample_means(np.array([x], float), n, rng)[0])
 
     def sample_means(self, points, n, rng):
         raise NotImplementedError
@@ -43,20 +43,25 @@ class GaussianBandit(Bandit):
     The n-pull empirical mean is drawn in one shot as N(mean, sigma^2/n),
     which is the exact distribution of the average, so large pull counts
     cost one rng call. Budget accounting still counts n pulls per call.
-    sample_means draws the noise of all its points with one
+    sample_means calls mean_fn once on the points array for the k means,
+    in any shape of k elements, and draws their noise with one
     standard_normal(k) call.
     """
 
     def __init__(self, mean_fn, lipschitz=1.0, sigma=1.0, dimension=1):
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= sigma < math.inf:
+            raise ValueError("sigma must be finite and non-negative")
         self._mean_fn = mean_fn
         self.lipschitz = float(lipschitz)
         self.sigma = float(sigma)
         self.dimension = int(dimension)
 
+    def _means(self, points):
+        means = self._mean_fn(np.asarray(points, dtype=np.float64))
+        return np.asarray(means, dtype=np.float64).reshape(len(points))
+
     def mean(self, x):
-        return float(self._mean_fn(x))
+        return float(self._means([x])[0])
 
     # perfbench patches this name in the class's own dict
     sample_mean = Bandit.sample_mean
@@ -65,7 +70,7 @@ class GaussianBandit(Bandit):
         n = int(n)
         if n < 1:
             raise ValueError("need at least one pull")
-        means = np.array([self.mean(x) for x in points], dtype=np.float64)
+        means = self._means(points)
         if self.sigma == 0.0:
             return means
         z = rng.standard_normal(means.size)

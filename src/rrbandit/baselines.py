@@ -76,8 +76,7 @@ def spsa(bandit, start, cfg, rng, stop_condition=None):
             break
         c_k = cfg.c / (k + 1.0) ** cfg.gamma
         delta = rng.child(k, 0).integers(0, 2, size=d) * 2.0 - 1.0
-        pair = [np.clip(theta + c_k * delta, 0.0, 1.0),
-                np.clip(theta - c_k * delta, 0.0, 1.0)]
+        pair = np.clip([theta + c_k * delta, theta - c_k * delta], 0.0, 1.0)
         y_plus, y_minus = bandit.sample_means(pair, shots,
                                               rng.child(k, 1)).tolist()
         res.samples_used += 2 * shots

@@ -55,20 +55,9 @@ def smooth_minimizer():
     return float(brentq(_profile_slope, lo, hi, xtol=1e-15))
 
 
-def staircase_cell(x):
-    """Cell index 1..20 for x in [0,1]; edge cells absorb the overhang."""
-    i = int(math.floor(N_CELLS * float(x) + 0.5))
-    return min(max(i, 1), N_CELLS)
-
-
 # staircase level of cell i at index i - 1
-_STAIRS = tuple(float(smooth_profile(i / N_CELLS))
-                for i in range(1, N_CELLS + 1))
-
-
-def staircase(x):
-    """Smooth profile sampled at the center of x's cell."""
-    return _STAIRS[staircase_cell(x) - 1]
+_STAIRS = np.array([float(smooth_profile(i / N_CELLS))
+                    for i in range(1, N_CELLS + 1)])
 
 
 @functools.lru_cache(maxsize=1)
@@ -77,12 +66,16 @@ def _wedge_base():
 
 
 def toy_objective(x):
-    """min(staircase, wedge): the wedge re-exposes the true minimizer."""
-    if type(x) is not float:  # pulls pass floats; skip numpy for them
-        x = float(np.squeeze(np.asarray(x, dtype=np.float64)))
-    x_star = smooth_minimizer()
-    wedge = _wedge_base() + WEDGE_SLOPE * abs(x - x_star)
-    return min(staircase(x), wedge)
+    """min(staircase, wedge), elementwise over x in [0,1].
+
+    The staircase is the smooth profile at the centre of x's 1/20 cell
+    (cells 1..20; the edge cells absorb the overhang), and the wedge
+    re-exposes the true minimizer.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    cell = np.clip(np.floor(N_CELLS * x + 0.5), 1, N_CELLS)
+    wedge = _wedge_base() + WEDGE_SLOPE * np.abs(x - smooth_minimizer())
+    return np.minimum(_STAIRS[cell.astype(np.intp) - 1], wedge)
 
 
 def make_toy_bandit(sigma=1.0):
@@ -93,6 +86,8 @@ def _rr_setup(spec, budget):
     settings = {"epsilon": 2.0 ** -7, "delta": 0.1, "lipschitz": WEDGE_SLOPE}
     settings.update(spec.fields("optimizer", epsilon=float, delta=float,
                                 lipschitz=float))
+    if not 0 < settings["delta"] < 1:  # 1 - delta is a success probability
+        raise ValueError(f"delta must be in (0, 1), got {settings['delta']}")
     return rr.RRConfig(**settings), budget
 
 

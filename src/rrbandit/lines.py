@@ -40,7 +40,8 @@ class LinearSlice:
         return math.sqrt(sum(u * u for u in self.direction))
 
     def point(self, s):
-        p = np.asarray(self.base) + float(s) * np.asarray(self.direction)
+        """The point at s, or the (k, d) points at a (k,) array s."""
+        p = np.asarray(self.base) + np.multiply.outer(s, self.direction)
         if self.wrap == "periodic":
             return np.mod(p, 1.0)
         return np.clip(p, 0.0, 1.0)
@@ -60,8 +61,7 @@ class SliceBandit(Bandit):
         return self.parent.mean(self.slice.point(s))
 
     def sample_means(self, points, n, rng):
-        return self.parent.sample_means(
-            [self.slice.point(s) for s in points], n, rng)
+        return self.parent.sample_means(self.slice.point(points), n, rng)
 
 
 @dataclass(frozen=True)

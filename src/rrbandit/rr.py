@@ -146,13 +146,13 @@ def active_mask(surviving, points):
 def run_round(state, bandit, cfg, rng, budget=None):
     """Execute round state.round + 1 and return the successor state.
 
-    The surviving grid arms are pulled in one sample_means call that
-    draws every arm, in grid order, from the round's one stream
-    rng.child(t). An arm's draws therefore depend on the arms before it in
-    its round, and the seed still fixes them all; how the bandit batches
-    the arms never changes a draw. If the round's total pull count would
-    exceed the remaining budget, the state is returned unchanged except
-    for the budget_exhausted flag.
+    The surviving grid arms are pulled in one sample_means call on their
+    (k,) float64 array of locations, which draws every arm, in grid order,
+    from the round's one stream rng.child(t). An arm's draws therefore
+    depend on the arms before it in its round, and the seed still fixes
+    them all; how the bandit batches the arms never changes a draw. If the
+    round's total pull count would exceed the remaining budget, the state
+    is returned unchanged except for the budget_exhausted flag.
     """
     t = state.round + 1
     points = grid_points(t, cfg.lipschitz)
@@ -167,7 +167,7 @@ def run_round(state, bandit, cfg, rng, budget=None):
         return replace(state, budget_exhausted=True)
 
     locations = points[idx]
-    values = bandit.sample_means(locations.tolist(), n_t, rng.child(t))
+    values = bandit.sample_means(locations, n_t, rng.child(t))
 
     best_j = int(np.argmin(values))  # ties resolve to the smallest location
     best = ArmEstimate(t, float(locations[best_j]), float(values[best_j]), n_t)

@@ -10,7 +10,7 @@ from rrbandit.rng import SeededRng
 
 def test_sample_mean_rejects_nonpositive_n():
     with pytest.raises(ValueError):
-        GaussianBandit(lambda x: 0.0).sample_mean(0.5, 0, SeededRng(0))
+        GaussianBandit(np.zeros_like).sample_mean(0.5, 0, SeededRng(0))
 
 
 def test_gaussian_zero_noise_is_exact_oracle():
@@ -24,7 +24,7 @@ def test_gaussian_sample_mean_matches_averaged_pulls_in_distribution():
     n averaged pulls; first and second moments over many replications
     are compared at 5 sigma."""
     mu, sigma, n, reps = 0.3, 2.0, 25, 4000
-    b = GaussianBandit(lambda x: mu, sigma=sigma)
+    b = GaussianBandit(lambda x: np.full_like(x, mu), sigma=sigma)
     root = SeededRng(123)
     means = np.array([b.sample_mean(0.0, n, root.child(0, i))
                       for i in range(reps)])
@@ -36,12 +36,25 @@ def test_gaussian_sample_mean_matches_averaged_pulls_in_distribution():
 
 
 def test_gaussian_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        GaussianBandit(lambda x: 0.0, sigma=-1.0)
+    for sigma in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            GaussianBandit(np.zeros_like, sigma=sigma)
+
+
+def test_gaussian_mean_fn_returns_one_mean_per_point():
+    """The mean function takes the whole points array and may return its
+    k means in any shape of k elements; another count is refused."""
+    points = np.array([0.1, 0.2, 0.3])
+    b = GaussianBandit(lambda x: x[:, None], sigma=0.0)
+    assert b.sample_means(points, 1, SeededRng(0)).tolist() == [0.1, 0.2, 0.3]
+    for wrong in (lambda x: 0.5, lambda x: x[:2], lambda x: np.tile(x, 2)):
+        b = GaussianBandit(wrong, sigma=0.0)
+        with pytest.raises(ValueError):
+            b.sample_means(points, 1, SeededRng(0))
 
 
 def test_counting_bandit_ledgers_every_pull():
-    inner = GaussianBandit(lambda x: float(x), lipschitz=1.0, sigma=1.0)
+    inner = GaussianBandit(lambda x: x, lipschitz=1.0, sigma=1.0)
     c = CountingBandit(inner)
     c.sample_mean(0.2, 17, SeededRng(0))
     assert c.count == 17
@@ -52,7 +65,7 @@ def test_counting_bandit_ledgers_every_pull():
 
 
 def test_counting_bandit_passes_values_through():
-    inner = GaussianBandit(lambda x: 2.0, sigma=0.0)
+    inner = GaussianBandit(lambda x: np.full_like(x, 2.0), sigma=0.0)
     c = CountingBandit(inner)
     assert c.sample_mean(0.0, 5, SeededRng(0)) == 2.0
     assert c.mean(0.0) == 2.0
@@ -65,25 +78,25 @@ def test_gaussian_sample_means_match_looped_sample_mean(sigma):
     b = GaussianBandit(lambda x: abs(x - 0.37), sigma=sigma)
     root = SeededRng(17)
     for k in (1, 2, 16, 257, 2048):
-        points = root.child(k).random(k).tolist()
+        points = root.child(k).random(k)
         got = b.sample_means(points, 11, root.child(k, 0))
         stream = root.child(k, 0)
-        expect = [b.sample_mean(x, 11, stream) for x in points]
+        expect = [b.sample_mean(x, 11, stream) for x in points.tolist()]
         assert got.dtype == np.float64
         assert got.tobytes() == np.array(expect).tobytes()
     with pytest.raises(ValueError):
-        b.sample_means([0.5], 0, root)
+        b.sample_means(np.array([0.5]), 0, root)
 
 
 def test_counting_bandit_ledgers_batched_pulls():
-    c = CountingBandit(GaussianBandit(lambda x: 0.0, sigma=0.0))
-    c.sample_means([0.1, 0.2, 0.3, 0.4], 17, SeededRng(0))
+    c = CountingBandit(GaussianBandit(np.zeros_like, sigma=0.0))
+    c.sample_means(np.array([0.1, 0.2, 0.3, 0.4]), 17, SeededRng(0))
     assert c.count == 4 * 17
 
 
 def test_wrappers_forward_the_noise_scale():
     assert Bandit.sigma == 1.0
-    noisy = GaussianBandit(lambda x: 0.0, sigma=6.0)
+    noisy = GaussianBandit(np.zeros_like, sigma=6.0)
     assert CountingBandit(noisy).sigma == 6.0
     sl = LinearSlice((0.5,), (1.0,))
     assert SliceBandit(noisy, sl, lipschitz=1.0).sigma == 6.0
@@ -97,7 +110,10 @@ class _Recorder(Bandit):
         self.points = []
 
     def sample_means(self, points, n, rng):
-        self.points.extend(np.asarray(p).tolist() for p in points)
+        # one float64 array of all the points, not one object per point
+        assert type(points) is np.ndarray and points.dtype == np.float64
+        assert points.shape == (len(points), self.dimension)
+        self.points.extend(points.tolist())
         return np.zeros(len(points))
 
 
@@ -105,6 +121,6 @@ def test_slice_bandit_maps_points_and_forwards_them():
     parent = _Recorder()
     sl = LinearSlice((0.5, 0.25), (1.0, 0.5), "periodic")
     line = SliceBandit(parent, sl, lipschitz=1.0)
-    out = line.sample_means([0.0, 0.25, 0.75], 3, SeededRng(0))
+    out = line.sample_means(np.array([0.0, 0.25, 0.75]), 3, SeededRng(0))
     assert out.tolist() == [0.0, 0.0, 0.0]
     assert parent.points == [sl.point(s).tolist() for s in (0.0, 0.25, 0.75)]

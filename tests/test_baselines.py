@@ -16,7 +16,7 @@ def quadratic(center):
     center = np.asarray(center, dtype=np.float64)
 
     def mean_fn(p):
-        return float(np.sum((np.asarray(p) - center) ** 2))
+        return np.sum((p - center) ** 2, axis=-1)
 
     return mean_fn
 
@@ -89,7 +89,7 @@ def test_spsa_converges_on_noiseless_quadratic():
 
 def test_spsa_clips_iterates_to_unit_cube():
     # steep slope pushes hard toward the boundary
-    bandit = GaussianBandit(lambda p: float(10.0 * p[0]), sigma=0.0,
+    bandit = GaussianBandit(lambda p: 10.0 * p[..., 0], sigma=0.0,
                             dimension=1)
     cfg = SpsaConfig(max_iters=50)
     res = spsa(bandit, np.array([0.1]), cfg, SeededRng(2))

@@ -16,14 +16,14 @@ from rrbandit.harness.config import expand_ints
 from rrbandit.harness.output import fmt_value, write_csv
 from rrbandit.harness.toy import (WEDGE_SLOPE, make_toy_bandit,
                                   smooth_minimizer, smooth_profile,
-                                  staircase, staircase_cell, toy_objective)
+                                  toy_objective)
 from rrbandit.harness import toy, vqa
 from rrbandit.harness.vqa import midpoint_quantile, optimizer_config
 from rrbandit.lines import DriverConfig, powell_driver
 from rrbandit.qsim import PqcBandit, QaoaBandit, erdos_renyi
 from rrbandit.qsim.costs import _ShotBandit
 from rrbandit.rng import SeededRng
-from rrbandit.rr import RRConfig
+from rrbandit.rr import RRConfig, grid_points
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -39,7 +39,7 @@ def test_expand_seeds():
             expand_ints(bad, "run.seeds")
 
 
-def test_expand_ints_keeps_order():
+def test_expand_ints_sorts_and_deduplicates_sizes():
     """Sizes take the same rules as seeds: sorted and deduplicated."""
     assert expand_ints("8,4,6,4", "run.sizes") == [4, 6, 8]
     assert expand_ints("3..5,9", "run.sizes") == [3, 4, 5, 9]
@@ -179,13 +179,33 @@ def test_aggregate_marks_low_crossing_rates_failed():
 
 # ----------------------------------------------------------- toy parts
 
+# the smooth profile at cell centre i/20, from scalar calls, at index i - 1
+_LEVELS = [float(smooth_profile(i / toy.N_CELLS))
+           for i in range(1, toy.N_CELLS + 1)]
+
+
+def _step(x):
+    # the staircase at x, with its own cell index
+    cell = min(max(math.floor(toy.N_CELLS * x + 0.5), 1), toy.N_CELLS)
+    return _LEVELS[cell - 1]
+
+
+def _formula_toy_objective(x):
+    # the objective at one float, in Python float arithmetic
+    x_star = smooth_minimizer()
+    wedge = float(smooth_profile(x_star)) + WEDGE_SLOPE * abs(x - x_star)
+    return min(_step(x), wedge)
+
+
 def test_staircase_cells():
-    assert staircase_cell(0.0) == 1
-    assert staircase_cell(0.024) == 1
-    assert staircase_cell(0.08) == 2
-    assert staircase_cell(0.974) == 19
-    assert staircase_cell(0.975) == 20
-    assert staircase_cell(1.0) == 20
+    """x reads the level of cell round(20 x), and the edge cells 1 and 20
+    absorb the overhang."""
+    xs = np.array([0.0, 0.024, 0.08, 0.974, 0.975, 1.0])
+    cells = [1, 1, 2, 19, 20, 20]
+    x_star = smooth_minimizer()
+    wedge = float(smooth_profile(x_star)) + WEDGE_SLOPE * np.abs(xs - x_star)
+    expect = np.minimum([_LEVELS[i - 1] for i in cells], wedge)
+    assert toy_objective(xs).tolist() == expect.tolist()
 
 
 def test_smooth_minimizer_frozen():
@@ -199,36 +219,39 @@ def test_toy_objective_shape():
     x_star = smooth_minimizer()
     assert toy_objective(x_star) == pytest.approx(smooth_profile(x_star))
     # the notch is narrower than a cell but deeper than the best step
-    assert toy_objective(x_star) < staircase(x_star)
-    # pointwise minimum of the step landscape and the notch
+    assert toy_objective(x_star) < _step(x_star)
+    # pointwise minimum of the step landscape and the notch, over an array
     v_star = float(smooth_profile(x_star))
-    for x in np.linspace(0.0, 1.0, 97):
-        expected = min(staircase(x), v_star + 2.0 * abs(x - x_star))
-        assert toy_objective(x) == pytest.approx(expected, abs=1e-12)
+    xs = np.linspace(0.0, 1.0, 97)
+    expected = [min(_step(x), v_star + 2.0 * abs(x - x_star))
+                for x in xs.tolist()]
+    got = toy_objective(xs)
+    assert got.shape == xs.shape
+    assert got == pytest.approx(expected, abs=1e-12)
     # far from the minimizer the notch is irrelevant
-    assert toy_objective(0.05) == pytest.approx(staircase(0.05))
-
-
-def _formula_toy_objective(x):
-    # the objective evaluated from smooth_profile on every call
-    x = float(np.squeeze(np.asarray(x, dtype=np.float64)))
-    x_star = smooth_minimizer()
-    wedge = float(smooth_profile(x_star)) + WEDGE_SLOPE * abs(x - x_star)
-    step = float(smooth_profile(staircase_cell(x) / toy.N_CELLS))
-    return min(step, wedge)
+    assert toy_objective(0.05) == _step(0.05)
 
 
 def test_tabulated_toy_objective_is_bitwise_the_formula():
+    """The array objective gives the bits of the scalar formula at every
+    point, whatever the array's shape: the cell edges and their
+    neighbours, the round 1-7 arm grids, and 200 000 uniform draws."""
     x_star = smooth_minimizer()
     edges = (np.arange(toy.N_CELLS + 1) - 0.5) / toy.N_CELLS
     xs = np.concatenate([
         np.linspace(0.0, 1.0, 20001), edges,
         np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-        [x_star, np.nextafter(x_star, 0.0), np.nextafter(x_star, 1.0)]])
-    for x in xs[(xs >= 0.0) & (xs <= 1.0)].tolist():
-        assert toy_objective(x).hex() == _formula_toy_objective(x).hex()
-        assert staircase(x).hex() == float(
-            smooth_profile(staircase_cell(x) / toy.N_CELLS)).hex()
+        [x_star, np.nextafter(x_star, 0.0), np.nextafter(x_star, 1.0)]]
+        + [grid_points(t, WEDGE_SLOPE) for t in range(1, 8)])
+    xs = xs[(xs >= 0.0) & (xs <= 1.0)]
+    for x in xs.tolist():
+        assert float(toy_objective(x)).hex() == _formula_toy_objective(x).hex()
+    draws = SeededRng(5).random(200_000)
+    for batch in (xs, draws):
+        expect = np.array([_formula_toy_objective(x) for x in batch.tolist()])
+        assert toy_objective(batch).tobytes() == expect.tobytes()
+        # SPSA's (k, 1) points of the 1-d cube
+        assert toy_objective(batch[:, None]).tobytes() == expect.tobytes()
 
 
 def test_run_toy_rr_writes_expected_schema(tmp_path):
@@ -346,6 +369,17 @@ def test_readme_spec_example_is_accepted(tmp_path):
     assert (config.q, config.d_max) == (400, 1)
     build_instance("qaoa", expand_ints(run["sizes"], "run.sizes")[0], spec,
                    SeededRng(0))
+
+
+def test_readme_python_examples_run(capsys):
+    """README's two python examples run as written; each prints one line."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = [part.split("```", 1)[0]
+                  for part in fh.read().split("```python\n")[1:]]
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, README, "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_run_single_crosses_immediately_with_loose_threshold():
@@ -569,6 +603,12 @@ def test_cli_sizes_take_ranges_in_any_order(tmp_path, capsys):
      "--budget", "100000", "--set", "optimizer.xtol=nan"],
     ["qaoa", "--optimizer", "powell_brent", "--sizes", "3", "--seeds", "0",
      "--budget", "100000", "--set", "optimizer.ftol=-1"],
+    # a noise scale no pull count covers, and toy rr deltas for which
+    # "with probability 1 - delta" promises nothing
+    ["toy", "--seeds", "0", "--set", "instance.sigma=nan"],
+    ["toy", "--seeds", "0", "--set", "instance.sigma=inf"],
+    ["toy", "--seeds", "0", "--set", "optimizer.delta=1"],
+    ["toy", "--seeds", "0", "--set", "optimizer.delta=5"],
 ])
 def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
     """A value an optimizer config or an instance rejects, or a key its

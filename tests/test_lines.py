@@ -17,7 +17,7 @@ def quadratic_bandit(center, sigma=0.0):
     center = np.asarray(center, dtype=np.float64)
 
     def mean_fn(p):
-        return float(np.sum((np.asarray(p) - center) ** 2))
+        return np.sum((p - center) ** 2, axis=-1)
 
     return GaussianBandit(mean_fn, lipschitz=2.0, sigma=sigma,
                           dimension=center.shape[0])
@@ -31,6 +31,13 @@ def test_slice_point_periodic_and_truncated():
     sl = LinearSlice((0.8, 0.5), (1.0, 0.0), wrap="truncated")
     assert np.allclose(sl.point(0.3), [1.0, 0.5])
     assert np.allclose(sl.point(0.0), [0.8, 0.5])
+    # an array of s gives the bits of one call per s, under both wraps
+    s = np.concatenate([SeededRng(3).random(64), [0.0, 0.5, 1.0]])
+    for wrap in ("periodic", "truncated"):
+        sl = LinearSlice((0.8, 0.3, 0.1), (0.6, -0.48, 0.64), wrap)
+        each = np.array([sl.point(x) for x in s.tolist()])
+        assert sl.point(s).shape == (s.size, 3)
+        assert sl.point(s).tobytes() == each.tobytes()
 
 
 def test_slice_validation():
@@ -97,7 +104,8 @@ def test_line_search_zero_noise_lands_on_nearest_arm():
 
 
 def test_line_search_flat_slice_keeps_incumbent():
-    parent = GaussianBandit(lambda p: 0.5, sigma=0.0, dimension=2)
+    parent = GaussianBandit(lambda p: np.full(len(p), 0.5), sigma=0.0,
+                            dimension=2)
     sl = LinearSlice((0.2, 0.2), (1.0, 0.0))
     res = rr_line_search(parent, sl, DriverConfig(), SeededRng(0),
                          incumbent_value=0.5)

@@ -136,7 +136,7 @@ def test_round_pulls_follow_the_bandit_noise_scale():
 
 
 def test_constant_objective_excludes_nothing():
-    bandit = GaussianBandit(lambda x: 0.7, sigma=0.0)
+    bandit = GaussianBandit(lambda x: np.full_like(x, 0.7), sigma=0.0)
     state = rr.RRState()
     for _ in range(3):
         state = rr.run_round(state, bandit, rr.RRConfig(2.0 ** -3, 0.1),
@@ -255,7 +255,7 @@ def test_config_validation():
 
 def test_early_stop_skips_deeper_rounds_when_incumbent_wins():
     # flat landscape: round 1 cannot undercut a strong incumbent
-    bandit = GaussianBandit(lambda x: 0.5, sigma=0.0)
+    bandit = GaussianBandit(lambda x: np.full_like(x, 0.5), sigma=0.0)
     cfg = rr.RRConfig(2.0 ** -4, 0.1, early_stop_depth1=True)
     _, state = rr.run(bandit, cfg, SeededRng(0), incumbent_value=0.1)
     assert state.round == 1
