@@ -75,25 +75,37 @@ class _ShotBandit(Bandit):
     A subclass provides:
     - state(params, stop=None, prefix=None): the state after the first
       stop steps (all of them by default) at one point of shape
-      (dimension,), or the (k, 2^n) states of a batch of shape
+      (dimension,), or the (k, length) states of a batch of shape
       (k, dimension). prefix = (start, psi) runs only steps start.. on a
       copy of psi per point, where psi is the one state that the first
-      start steps leave at every point;
+      start steps leave at every point. A state holds the amplitudes of
+      basis states 0..length - 1: all 2^n of them, or a half state (see
+      QaoaBandit);
+    - outcome_probabilities(states), if state() returns half states: the
+      probabilities of all 2^n outcomes;
+    - batch: how many points state() simulates at once, from batch_size
+      of the state's length and dtype;
     - steps, and step_of: the step that reads each parameter;
     - numerators and denominator: a shot on basis state z scores
       numerators[z] / denominator, with integer numerators in
       0..denominator; rewards holds the same scores as float64, from
-      which mean() takes the exact expectation.
+      which mean() takes the exact expectation. All three run over the
+      2^n basis states.
     """
 
     rewards = None  # float64 array over basis states
     numerators = None  # int64 array over basis states
     denominator = 1
+    batch = None  # points per simulated batch
     steps = 0
     step_of = None  # int64 array over parameters
 
     def state(self, params, stop=None, prefix=None):
         raise NotImplementedError
+
+    def outcome_probabilities(self, states):
+        """Probabilities of the 2^n outcomes of states from state()."""
+        return probabilities(states)
 
     def _params(self, params, shape):
         params = np.asarray(params, dtype=np.float64)
@@ -105,8 +117,12 @@ class _ShotBandit(Bandit):
         return params
 
     def mean(self, params):
+        """Exact expected reward at one point, over the basis states that
+        state() holds. On a half state that is the full expectation bit
+        for bit: every term, and so both correctly rounded sums, count
+        twice in the full one, and the factor of 2 cancels exactly."""
         probs = probabilities(self.state(self._params(params, (self.dimension,))))
-        return expected_reward(probs, self.rewards)
+        return expected_reward(probs, self.rewards[:probs.size])
 
     # perfbench patches this name in the class's own dict
     sample_mean = Bandit.sample_mean
@@ -118,12 +134,13 @@ class _ShotBandit(Bandit):
         - Shared prefix. The steps before the first one whose parameters
           differ across the points (compared bit for bit) are simulated
           once, on one state. The points then run in batches of up to
-          batch_size(2^n), each starting from copies of that state. Every
+          batch, each starting from copies of that state. Every
           amplitude sees the arithmetic it sees in state(point), so the
           states are bitwise those.
-        - Level draws. A point's probabilities are summed onto the levels
-          0..denominator by numerator, in basis-state order (one weighted
-          bincount per batch), and each row is normalised with
+        - Level draws. A point's probabilities of the 2^n outcomes are
+          summed onto the levels 0..denominator by numerator, in
+          basis-state order (one weighted bincount per batch, over
+          outcome_probabilities), and each row is normalised with
           math.fsum. That is the outcome distribution grouped by reward,
           so one multinomial of n over the levels has the law of n shots.
           A batch's histograms are one 2-d multinomial call, which draws
@@ -144,10 +161,9 @@ class _ShotBandit(Bandit):
         levels = self.denominator + 1
         scale = self.denominator * n
         out = np.empty(len(params), dtype=np.float64)
-        chunk = batch_size(self.numerators.size)
-        for lo in range(0, len(params), chunk):
-            probs = probabilities(
-                self.state(params[lo:lo + chunk], prefix=prefix))
+        for lo in range(0, len(params), self.batch):
+            probs = self.outcome_probabilities(
+                self.state(params[lo:lo + self.batch], prefix=prefix))
             k = len(probs)
             index = self.numerators + levels * np.arange(k)[:, None]
             mass = np.bincount(index.ravel(), weights=probs.ravel(),
@@ -187,6 +203,7 @@ class PqcBandit(_ShotBandit):
         # differently (1/3 against 1 - 2/3) and would move mean()'s bits
         self.rewards = 1.0 - (self.n - self.numerators) / self.n
         self.cz_signs = cz_chain_signs(self.n)
+        self.batch = batch_size(1 << self.n, np.float64)
         self.steps = self.layers
         self.step_of = np.arange(self.dimension, dtype=np.int64) // self.n
 
@@ -218,6 +235,16 @@ class QaoaBandit(_ShotBandit):
     The circuit starts from H on every qubit of |0...0>, whose amplitudes
     are all the same number, so the state is filled with that number
     instead of running n Hadamard passes; the bits are the same.
+
+    Every step commutes with flipping every bit, so amplitude(z) =
+    amplitude(~z) throughout (the Z2 symmetry of Shaydulin et al.,
+    arXiv:2012.04713). state() therefore returns half states: the 2^(n-1)
+    amplitudes whose top bit is 0 (statevector module docstring), bitwise
+    the first half of the full circuit's state. The phase indexes the
+    first half of the numerators, and the mixer's call runs the top qubit
+    last, mirrored. outcome_probabilities appends the mirrored half's
+    probabilities, so shots are drawn from the full-basis probabilities
+    in basis-state order, with the bits the full state gives.
     """
 
     def __init__(self, graph, layers=2, lipschitz=0.5):
@@ -238,6 +265,9 @@ class QaoaBandit(_ShotBandit):
         # maxcut, maxcut - 1, ..., 0 and no cut table is kept
         self.levels = np.arange(self.maxcut, -1, -1, dtype=np.float64)
         self.uniform = uniform_amplitude(graph.n)
+        # numerators of the basis states a half state holds
+        self.half_numerators = self.numerators[:1 << (graph.n - 1)]
+        self.batch = batch_size(self.half_numerators.size, np.complex128)
         self.steps = 2 * self.layers
         layer = np.arange(self.layers, dtype=np.int64)
         self.step_of = np.concatenate([2 * layer, 2 * layer + 1])
@@ -245,7 +275,7 @@ class QaoaBandit(_ShotBandit):
     def state(self, params, stop=None, prefix=None):
         if prefix is None:
             start = 0
-            state = np.full(params.shape[:-1] + self.numerators.shape,
+            state = np.full(params.shape[:-1] + self.half_numerators.shape,
                             self.uniform, dtype=np.complex128)
         else:
             start, state = _copies(prefix, params.shape[:-1])
@@ -257,8 +287,12 @@ class QaoaBandit(_ShotBandit):
             if mixer:
                 # exp(-i beta X) is an x-rotation by 2*beta on every qubit
                 apply_rotation(state, range(self.graph.n), "x",
-                               2.0 * betas[..., layer])
+                               2.0 * betas[..., layer], half=True)
             else:
-                apply_phase(state, self.levels, self.numerators,
+                apply_phase(state, self.levels, self.half_numerators,
                             gammas[..., layer])
         return state
+
+    def outcome_probabilities(self, states):
+        probs = probabilities(states)
+        return np.concatenate([probs, probs[..., ::-1]], axis=-1)

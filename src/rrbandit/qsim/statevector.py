@@ -40,6 +40,22 @@ purely imaginary entries, whose products round the same in any numpy
 loop; the tests compare sequence calls with per-qubit calls bitwise for
 x, y and z rotations at n = 1..14.)
 
+A state that flipping every bit leaves unchanged, psi(z) = psi(~z), may
+be carried as its half: the 2^(n-1) amplitudes whose top bit (qubit
+n - 1) is 0. Its top-bit-1 half is the same array reversed, since ~z of
+index z is 2^n - 1 - z. MaxCut QAOA keeps this symmetry throughout (the
+Z2 symmetry of Shaydulin et al., "Classical symmetries and the Quantum
+Approximate Optimization Algorithm", arXiv:2012.04713): its uniform
+start, its cut phase (cut(z) = cut(~z)) and x-rotations all commute with
+flipping every bit. The qubits below the top run on a half state as on
+any state of n - 1 qubits. An x-rotation on the top qubit (apply_rotation
+with half=True) runs as m00 * psi + m01 * psi[::-1], which is _apply_1q's
+m00 * v0 + m01 * v1 with the same entries and operands, since v1 is the
+mirrored half. So the half is bitwise the first half of the full state,
+and the full state stays bitwise mirror-symmetric: an amplitude and its
+mirror add the same two products, in swapped order, which rounds the
+same. The tests check both at n = 2..14.
+
 Values shared by many amplitudes are computed once. A rotation on a
 sequence of qubits builds its matrix entries once per call, for one angle
 or for one angle per qubit, and applies them qubit by qubit. A diagonal
@@ -79,9 +95,10 @@ def zero_state(n, batch=(), dtype=np.complex128):
     return state
 
 
-def batch_size(length):
-    """States of `length` amplitudes per batch under BATCH_BYTES, at least one."""
-    return max(1, BATCH_BYTES // (16 * length))
+def batch_size(length, dtype):
+    """States of `length` amplitudes of `dtype` per batch under BATCH_BYTES,
+    at least one."""
+    return max(1, BATCH_BYTES // (length * np.dtype(dtype).itemsize))
 
 
 def num_qubits(state):
@@ -91,13 +108,14 @@ def num_qubits(state):
     return n
 
 
-def _check_qubits(state, qubits):
-    """The state's qubit count, after checking every index in qubits."""
+def _check_qubits(state, qubits, half=False):
+    """The state's qubit count, after checking every index in qubits; a
+    half state (see apply_rotation) also takes index n, its top qubit."""
     n = num_qubits(state)
     for qubit in qubits:
-        if int(qubit) != qubit or not 0 <= qubit < n:
+        if int(qubit) != qubit or not 0 <= qubit < n + half:
             raise ValueError(
-                f"qubit index {qubit} out of range for {n} qubits")
+                f"qubit index {qubit} out of range for {n + half} qubits")
     return n
 
 
@@ -120,6 +138,14 @@ def _apply_1q(state, m00, m01, m10, m11, qubit):
     new0 = m00 * v0 + m01 * v1
     psi[:, :, 1, :] = m10 * v0 + m11 * v1
     psi[:, :, 0, :] = new0
+    return state
+
+
+def _apply_mirrored(state, m00, m01):
+    """_apply_1q's top-bit-0 half on the top qubit of a half state, whose
+    top-bit-1 half v1 is this half reversed."""
+    psi = state.reshape(-1, 1, state.shape[-1])
+    psi[...] = m00 * psi + m01 * psi[..., ::-1]
     return state
 
 
@@ -155,7 +181,7 @@ def _sequence_entries(state, axis, angle, count):
     return list(entries) if sets == count else [entries[0]] * count
 
 
-def apply_rotation(state, qubits, axis, angle):
+def apply_rotation(state, qubits, axis, angle, half=False):
     """exp(-i * angle * P / 2) for the Pauli P named by axis ('x', 'y', 'z'),
     on one qubit or on each of a sequence of qubits in turn.
 
@@ -164,14 +190,21 @@ def apply_rotation(state, qubits, axis, angle):
     are built once per call, in the state's dtype. A real state takes only
     the real y-rotation. A sequence runs its low qubits on a transposed
     copy.
+
+    half=True takes state as the top-bit-0 half of a state that flipping
+    every bit leaves unchanged (module docstring). Qubit num_qubits(state)
+    is then that state's top qubit. Only x-rotations keep the symmetry, so
+    a half state takes no other axis.
     """
     # hasattr, not np.ndim, which costs about 2 us on an int
     qubits = tuple(qubits) if hasattr(qubits, "__iter__") else (qubits,)
-    n = _check_qubits(state, qubits)
+    n = _check_qubits(state, qubits, half)
     if axis not in ("x", "y", "z"):
         raise ValueError("axis must be 'x', 'y' or 'z'")
     if axis != "y" and state.dtype.kind != "c":
         raise ValueError(f"a real state cannot take a rotation about {axis}")
+    if half and axis != "x":
+        raise ValueError("a half state takes only x-rotations")
     entries = _sequence_entries(state, axis, angle, len(qubits))
     low = n // 2 if len(qubits) > 1 else 0
     high = n - low
@@ -185,7 +218,10 @@ def apply_rotation(state, qubits, axis, angle):
     for transposed, run in runs:
         if not transposed:
             for qubit, m in run:
-                _apply_1q(state, *m, int(qubit))
+                if qubit == n:  # the mirrored top qubit of a half state
+                    _apply_mirrored(state, *m[:2])
+                else:
+                    _apply_1q(state, *m, int(qubit))
             continue
         work = psi.transpose(0, 2, 1).reshape(k, -1)
         for qubit, m in run:

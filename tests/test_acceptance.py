@@ -22,8 +22,8 @@ from rrbandit.qsim import (PqcBandit, QaoaBandit, complete_graph, cut_values,
                            erdos_renyi)
 from rrbandit.qsim.costs import _ShotBandit
 from rrbandit.qsim.statevector import (apply_cz, apply_hadamard, apply_phase,
-                                       apply_rotation, probabilities,
-                                       zero_state)
+                                       apply_rotation, batch_size,
+                                       probabilities, zero_state)
 from rrbandit.rng import SeededRng
 
 EPS_PAC = 2.0 ** -5
@@ -227,6 +227,7 @@ class _OutcomeIndicator(_ShotBandit):
         self.rewards[z] = 1.0
         self.numerators = np.zeros(psi.size, dtype=np.int64)
         self.numerators[z] = 1
+        self.batch = batch_size(psi.size, psi.dtype)
 
     def state(self, params, stop=None, prefix=None):
         return np.broadcast_to(self.psi, params.shape[:-1] + self.psi.shape)

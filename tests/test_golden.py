@@ -42,6 +42,11 @@ RUNS = {
     "qaoa-rr_powell-wide": ("vqa", "qaoa", {
         "run.optimizer": "rr_powell", "run.sizes": "12",
         "run.seeds": "0", "run.budget": "1000000"}),
+    # the smallest QAOA sizes: at n = 2 the half state is one amplitude
+    # pair and the mixer's only qubit is the mirrored one
+    "qaoa-rr_powell-small": ("vqa", "qaoa", {
+        "run.optimizer": "rr_powell", "run.sizes": "2,3",
+        "run.seeds": "0..1", "run.budget": "300000"}),
     # a PQC as wide as the pqc-spsa benchmark's
     "pqc-spsa-wide": ("vqa", "pqc", {
         "run.optimizer": "spsa", "run.sizes": "12", "run.seeds": "0..1",
@@ -82,6 +87,12 @@ GOLDEN = {
             "5a5296746ce47cd90b17bd4f32a8cbad05e712a8aad39fb7707db428396ff201",
         "runs.csv":
             "c202be2bdabcf40df02dd3f43edfc71ef90d58c58191334a5911c2b96abd0a2f",
+    },
+    "qaoa-rr_powell-small": {
+        "aggregate.csv":
+            "4d094ebecbf31afffb5afec31d301c53f025c53306bd8f6b08ff771cab48cbef",
+        "runs.csv":
+            "9de047d731d4bd56b28e5d0fc77990bf3509ab0565304be26684af6865b72f99",
     },
     "qaoa-rr_powell-wide": {
         "aggregate.csv":

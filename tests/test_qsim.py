@@ -18,7 +18,7 @@ from rrbandit.qsim import (Graph, MAX_QUBITS, PqcBandit, QaoaBandit,
                            num_qubits, path_graph, probabilities, zero_state)
 from rrbandit.qsim import costs
 from rrbandit.qsim.costs import TWO_PI, cz_chain_signs, uniform_amplitude
-from rrbandit.qsim.statevector import batch_size
+from rrbandit.qsim.statevector import BATCH_BYTES
 from rrbandit.rng import SeededRng
 
 
@@ -219,6 +219,46 @@ def test_per_qubit_angles_match_one_call_per_qubit(n):
                 assert got.tobytes() == expect.tobytes()
 
 
+def mirrored(half):
+    """The full state whose top-bit-0 half is half and which flipping
+    every bit leaves unchanged."""
+    return np.concatenate([half, half[..., ::-1]], axis=-1)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_half_state_x_rotation_is_the_full_state_half(n):
+    """An x-rotation sequence on a half state, with the top qubit mirrored,
+    is bitwise the first half of the same call on the full state, and the
+    full state stays bitwise mirror-symmetric: one state and 16, one angle
+    and one per state, the mixer's qubit order and a shuffled one."""
+    rng = SeededRng(230 + n)
+    shuffled = rng.permutation(n).tolist()
+    for batch, angle in (((), float(rng.uniform(-7.0, 7.0))),
+                         ((16,), rng.uniform(-7.0, 7.0, 16))):
+        shape = batch + (1 << (n - 1),)
+        half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for qubits in (range(n), shuffled):
+            full = apply_rotation(mirrored(half), qubits, "x", angle)
+            got = apply_rotation(half.copy(), qubits, "x", angle, half=True)
+            assert full.tobytes() == full[..., ::-1].tobytes()
+            assert mirrored(got).tobytes() == full.tobytes()
+
+
+def test_half_state_validation():
+    """A half state of n - 1 held qubits takes an x-rotation on qubits
+    0..n-1 and refuses every other axis; a full state has no qubit n."""
+    half = zero_state(3, (2,))
+    with pytest.raises(ValueError):
+        apply_rotation(half, 4, "x", 0.1, half=True)
+    for axis in ("y", "z"):
+        with pytest.raises(ValueError):
+            apply_rotation(half, [0, 3], axis, 0.1, half=True)
+    assert np.array_equal(half, zero_state(3, (2,)))
+    with pytest.raises(ValueError):
+        apply_rotation(half, 3, "x", 0.1)
+    apply_rotation(half, 3, "x", 0.1, half=True)
+
+
 def test_per_qubit_angle_validation():
     """Per-qubit angles need shape state.shape[:-1] + (len(qubits),), and a
     real state refuses them for an x or z rotation."""
@@ -310,7 +350,8 @@ def test_cut_values_match_independent_enumeration():
 
 def circuit_bandit(family, n):
     if family == "qaoa":
-        return QaoaBandit(erdos_renyi(n, SeededRng(80 + n), 0.6))
+        graph = erdos_renyi(n, SeededRng(80 + n), 0.6)
+        return QaoaBandit(graph if graph.m else path_graph(n))  # n = 2
     return PqcBandit(n, layers=2)
 
 
@@ -327,7 +368,7 @@ def test_sample_means_match_looped_sample_mean(family, n):
     """
     bandit = circuit_bandit(family, n)
     root = SeededRng(90 + n)
-    for k in (1, 16, batch_size(1 << n) + 5):
+    for k in (1, 16, bandit.batch + 5):
         points = root.child(k).random((k, bandit.dimension))
         states = bandit.state(points)
         for j in range(k):
@@ -357,14 +398,34 @@ def reference_qaoa_state(bandit, params):
     return state
 
 
-@pytest.mark.parametrize("n", [3, 8, 14])
+@pytest.mark.parametrize("n", range(2, 15))
 def test_qaoa_state_matches_the_per_qubit_circuit(n):
+    """QaoaBandit's half state, mirrored, is bitwise the full circuit's
+    state, which is bitwise mirror-symmetric; at n = 2 the half state
+    holds one qubit below the mirrored top. mean(), which sums over the
+    half state, is bitwise expected_reward over the full probabilities."""
     bandit = circuit_bandit("qaoa", n)
     rng = SeededRng(95 + n)
     for points in (rng.random(bandit.dimension),
                    rng.random((16, bandit.dimension))):
-        assert (bandit.state(points).tobytes()
-                == reference_qaoa_state(bandit, points).tobytes())
+        state = bandit.state(points)
+        expect = reference_qaoa_state(bandit, points)
+        assert state.shape == expect.shape[:-1] + (1 << (n - 1),)
+        assert expect.tobytes() == expect[..., ::-1].tobytes()
+        assert mirrored(state).tobytes() == expect.tobytes()
+    for point, full in zip(points, expect):
+        assert bandit.mean(point) == expected_reward(probabilities(full),
+                                                     bandit.rewards)
+
+
+@pytest.mark.parametrize("family", ["qaoa", "pqc"])
+def test_batches_fill_batch_bytes_by_the_simulated_state(family):
+    """A batch holds as many simulated states as fit in BATCH_BYTES, by
+    their real size: float64 PQC states, half QAOA states."""
+    for n in range(2, 15):
+        bandit = circuit_bandit(family, n)
+        size = bandit.state(np.zeros(bandit.dimension)).nbytes
+        assert bandit.batch == max(1, BATCH_BYTES // size)
 
 
 def test_uniform_start_is_bitwise_the_hadamard_layer():
@@ -452,7 +513,7 @@ def test_shot_means_follow_the_born_distribution(bandit):
     """
     shots, reps = 40, 3000
     params = SeededRng(82).random(bandit.dimension)
-    probs = probabilities(bandit.state(params))
+    probs = bandit.outcome_probabilities(bandit.state(params))
     probs = probs / probs.sum()
     mu = float(probs @ bandit.rewards)
     var = float(probs @ (bandit.rewards - mu) ** 2) / shots
@@ -494,7 +555,7 @@ def test_sample_means_states_are_the_per_point_states(family, n,
     """sample_means simulates the steps its points share once and starts
     every batch from copies of that state; each state it scores is
     bitwise state(point). Points share 0, 1, ..., all steps; k = 1, 16
-    and batch_size + 5, so a batch boundary is crossed and the prefix is
+    and batch + 5, so a batch boundary is crossed and the prefix is
     shared across batches. Each step is one gate call, which sees the
     prefix's steps on one state and every later step on each point's."""
     bandit = prefix_bandit(family, n)
@@ -503,16 +564,19 @@ def test_sample_means_states_are_the_per_point_states(family, n,
         scored.append(state.copy()), probabilities(state))[1])
     for name in ("apply_phase", "apply_rotation"):
         gate = getattr(costs, name)
-        monkeypatch.setattr(costs, name, lambda state, *args, gate=gate: (
-            gate_states.append(state.size >> n), gate(state, *args))[1])
+        monkeypatch.setattr(costs, name, lambda state, *args, gate=gate,
+                            **kwargs: (
+            gate_states.append(len(state) if state.ndim == 2 else 1),
+            gate(state, *args, **kwargs))[1])
     root = SeededRng(300 + n)
     for shared in range(bandit.steps + 1):
-        for k in (1, 16, batch_size(1 << n) + 5):
+        for k in (1, 16, bandit.batch + 5):
             points = sharing_points(bandit, k, shared, root.child(shared, k))
             scored.clear()
             gate_states.clear()
             bandit.sample_means(points, 10, root.child(shared, k, 0))
-            states = np.concatenate([s.reshape(-1, 1 << n) for s in scored])
+            states = np.concatenate([s.reshape(-1, s.shape[-1])
+                                     for s in scored])
             start = bandit.steps if k == 1 else shared
             assert sum(gate_states) == start + k * (bandit.steps - start)
             for j in range(k):
@@ -547,7 +611,7 @@ def test_level_probabilities_are_the_outcome_probabilities_by_level(family,
     got = np.concatenate(rng.pvals)
     assert got.shape == (5, bandit.denominator + 1)
     for point, row in zip(points, got):
-        probs = probabilities(bandit.state(point)).tolist()
+        probs = bandit.outcome_probabilities(bandit.state(point)).tolist()
         total = math.fsum(probs)
         expect = np.array([math.fsum(p for p, l in zip(
             probs, bandit.numerators.tolist()) if l == level) / total
@@ -592,7 +656,7 @@ def test_single_shot_levels_follow_the_born_distribution(family):
     bandit = prefix_bandit(family, 12)
     reps = 20_000
     params = SeededRng(420).random(bandit.dimension)
-    probs = probabilities(bandit.state(params))
+    probs = bandit.outcome_probabilities(bandit.state(params))
     levels = np.bincount(bandit.numerators, weights=probs,
                          minlength=bandit.denominator + 1) / probs.sum()
     means = bandit.sample_means(np.tile(params, (reps, 1)), 1, SeededRng(421))
