@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .lines import DriverResult, StepRecord
 
@@ -95,7 +94,11 @@ def spsa(bandit, start, cfg, rng, stop_condition=None):
 
 @dataclass(frozen=True)
 class PowellBrentConfig:
-    """Direction-set Powell with Brent line minimization (scipy backend)."""
+    """Direction-set Powell with Brent line minimization (scipy backend).
+
+    scipy is imported at powell_brent's first call, once per worker in a
+    pool.
+    """
 
     max_iters: int = 50
     shots_per_eval: int = 1
@@ -122,7 +125,11 @@ def powell_brent(bandit, start, cfg, rng, stop_condition=None):
     Every objective evaluation costs shots_per_eval pulls from a fresh
     child stream. The trace records one row per outer iteration with the
     best noisy value seen so far; stop_condition is checked there too.
+    scipy.optimize is imported here, at the first call in a process (once
+    per worker in a pool), so no other command path loads scipy.
     """
+    from scipy.optimize import minimize
+
     x0 = np.asarray(start, dtype=np.float64)
     d = x0.shape[0]
     shots = cfg.shots_per_eval

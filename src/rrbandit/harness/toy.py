@@ -12,7 +12,6 @@ import math
 import os
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .. import rr
 from ..baselines import spsa
@@ -36,33 +35,20 @@ def smooth_profile(x):
     return 1.0 - (np.sin(13.0 * x) * np.sin(27.0 * x) + 1.0) / 4.0
 
 
-def _profile_slope(x):
-    return -(13.0 * math.cos(13.0 * x) * math.sin(27.0 * x)
-             + 27.0 * math.sin(13.0 * x) * math.cos(27.0 * x)) / 4.0
+# the smooth profile's global minimizer: the root of its slope, bracketed
+# by a dense scan (tests/test_harness.py re-derives it bit for bit)
+X_STAR = 0.867526208251332
 
 
-@functools.lru_cache(maxsize=1)
 def smooth_minimizer():
-    """Global minimizer of the smooth profile, located once per process.
-
-    A dense scan brackets the minimum, then the stationary point is
-    pinned down as the slope's root; both steps are deterministic.
-    """
-    grid = np.linspace(0.0, 1.0, 20001)
-    i = int(np.argmin(smooth_profile(grid)))
-    lo = grid[max(i - 2, 0)]
-    hi = grid[min(i + 2, grid.size - 1)]
-    return float(brentq(_profile_slope, lo, hi, xtol=1e-15))
+    """Global minimizer of the smooth profile, X_STAR."""
+    return X_STAR
 
 
 # staircase level of cell i at index i - 1
 _STAIRS = np.array([float(smooth_profile(i / N_CELLS))
                     for i in range(1, N_CELLS + 1)])
-
-
-@functools.lru_cache(maxsize=1)
-def _wedge_base():
-    return float(smooth_profile(smooth_minimizer()))
+_WEDGE_BASE = float(smooth_profile(X_STAR))
 
 
 def toy_objective(x):
@@ -74,7 +60,7 @@ def toy_objective(x):
     """
     x = np.asarray(x, dtype=np.float64)
     cell = np.clip(np.floor(N_CELLS * x + 0.5), 1, N_CELLS)
-    wedge = _wedge_base() + WEDGE_SLOPE * np.abs(x - smooth_minimizer())
+    wedge = _WEDGE_BASE + WEDGE_SLOPE * np.abs(x - X_STAR)
     return np.minimum(_STAIRS[cell.astype(np.intp) - 1], wedge)
 
 
@@ -101,14 +87,13 @@ def _spsa_setup(spec, budget):
 def _run_rr(cfg, budget, bandit, seed):
     rng = SeededRng(seed).child(2)
     x_hat, state = rr.run(bandit, cfg, rng, budget=budget)
-    x_star = smooth_minimizer()
     trace = []
     best = None
     for rec in state.trace:
         if best is None or rec.best.value < best.value:
             best = rec.best
         trace.append((rec.round, rec.cumulative_samples, best.location,
-                      abs(best.location - x_star)))
+                      abs(best.location - X_STAR)))
     status = "budget" if state.budget_exhausted else "ok"
     return x_hat, state.total_samples, status, trace
 
@@ -122,8 +107,7 @@ def _run_spsa(cfg, start, bandit, seed):
         return False
 
     res = spsa(bandit, start, cfg, rng, stop_condition=log_point)
-    x_star = smooth_minimizer()
-    trace = [(step.step, step.cumulative_samples, x, abs(x - x_star))
+    trace = [(step.step, step.cumulative_samples, x, abs(x - X_STAR))
              for step, x in zip(res.steps, points)]
     x_hat = float(res.point[0])
     status = "budget" if res.budget_exhausted else "ok"
@@ -155,7 +139,6 @@ def run_toy(spec):
         raise ConfigError(f"run.budget must be non-negative, got {budget}")
     out_dir = run.get("out", os.path.join("results", "toy"))
 
-    x_star = smooth_minimizer()
     bandit = checked("instance", make_toy_bandit,
                      **spec.fields("instance", sigma=float))
     setup, run_seed = OPTIMIZERS[optimizer]
@@ -167,7 +150,7 @@ def run_toy(spec):
         run_rows.append({
             "experiment": "toy", "optimizer": optimizer, "seed": seed,
             "x_hat": float(x_hat) if x_hat is not None else math.inf,
-            "distance": (abs(x_hat - x_star) if x_hat is not None
+            "distance": (abs(x_hat - X_STAR) if x_hat is not None
                          else math.inf),
             "samples_spent": samples, "status": status,
         })
@@ -182,4 +165,4 @@ def run_toy(spec):
     trace_path = write_csv(os.path.join(out_dir, "trace.csv"),
                            TRACE_HEADER, trace_rows)
     return {"runs": runs_path, "trace": trace_path, "rows": run_rows,
-            "x_star": x_star}
+            "x_star": X_STAR}

@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -234,6 +233,8 @@ def run_vqa(experiment, spec):
     jobs = [(experiment, optimizer, size, seed, threshold, config, spec)
             for size, seed in itertools.product(sizes, seeds)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, jobs))
     else:

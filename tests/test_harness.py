@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from rrbandit import bounds
 from rrbandit.baselines import PowellBrentConfig, SpsaConfig, spsa
@@ -213,6 +214,24 @@ def test_smooth_minimizer_frozen():
     assert x_star == pytest.approx(0.867526208251332, abs=1e-9)
     assert smooth_profile(x_star) == pytest.approx(0.5122004280942126,
                                                    abs=1e-9)
+
+
+def _profile_slope(x):
+    return -(13.0 * math.cos(13.0 * x) * math.sin(27.0 * x)
+             + 27.0 * math.sin(13.0 * x) * math.cos(27.0 * x)) / 4.0
+
+
+def test_pinned_minimizer_is_bitwise_the_slope_root():
+    """X_STAR is the root brentq finds for the profile's slope in the
+    bracket a dense scan puts round the minimum, to the last bit."""
+    grid = np.linspace(0.0, 1.0, 20001)
+    i = int(np.argmin(smooth_profile(grid)))
+    lo = grid[max(i - 2, 0)]
+    hi = grid[min(i + 2, grid.size - 1)]
+    reference = float(brentq(_profile_slope, lo, hi, xtol=1e-15))
+    assert toy.X_STAR == reference
+    assert smooth_minimizer() == reference
+    assert toy._WEDGE_BASE == float(smooth_profile(toy.X_STAR))
 
 
 def test_toy_objective_shape():
