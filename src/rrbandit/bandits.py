@@ -22,8 +22,6 @@ class Bandit:
     source noisier than 1-sub-Gaussian must say so.
     """
 
-    lipschitz = 1.0
-    dimension = 1
     sigma = 1.0
 
     def mean(self, x):
@@ -48,13 +46,11 @@ class GaussianBandit(Bandit):
     standard_normal(k) call.
     """
 
-    def __init__(self, mean_fn, lipschitz=1.0, sigma=1.0, dimension=1):
+    def __init__(self, mean_fn, sigma=1.0):
         if not 0 <= sigma < math.inf:
             raise ValueError("sigma must be finite and non-negative")
         self._mean_fn = mean_fn
-        self.lipschitz = float(lipschitz)
         self.sigma = float(sigma)
-        self.dimension = int(dimension)
 
     def _means(self, points):
         means = self._mean_fn(np.asarray(points, dtype=np.float64))
@@ -85,8 +81,6 @@ class CountingBandit(Bandit):
 
     def __init__(self, inner):
         self.inner = inner
-        self.lipschitz = inner.lipschitz
-        self.dimension = inner.dimension
         self.sigma = inner.sigma
         self.count = 0
 

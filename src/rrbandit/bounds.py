@@ -47,6 +47,9 @@ class BoundInstance:
         max_slope = max(abs(s) for s in slopes)
         if self.lipschitz is None:
             object.__setattr__(self, "lipschitz", max_slope)
+        elif not 0 < self.lipschitz < math.inf:
+            raise ValueError(f"declared lipschitz {self.lipschitz} must be "
+                             "positive and finite")
         elif max_slope > self.lipschitz + 1e-9:
             raise ValueError(
                 f"slope {max_slope} exceeds declared lipschitz {self.lipschitz}")
@@ -172,19 +175,18 @@ def zooming_fit(inst, radii):
     """Least-squares fit of log N_(r/8) = log c + beta * log(1/r).
 
     Radii whose level set is empty contribute no data point; at least three
-    usable radii are required. Returns (beta, c).
+    distinct usable radii are required, since a repeated radius adds no
+    information to the slope. Returns (beta, c).
     """
-    radii = [float(r) for r in radii]
-    if len(radii) < 3:
-        raise ValueError("need at least 3 radii")
     xs, ys = [], []
-    for r in radii:
+    for r in map(float, radii):
         n = covering_number(inst, r)
         if n > 0:
             xs.append(math.log(1.0 / r))
             ys.append(math.log(n))
-    if len(xs) < 3:
-        raise ValueError("need at least 3 radii with non-empty level sets")
+    if len(set(xs)) < 3:
+        raise ValueError(
+            "need at least 3 distinct radii with non-empty level sets")
     beta, intercept = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
     return float(beta), float(math.exp(intercept))
 

@@ -21,25 +21,22 @@ def _parse_radii(text):
         try:
             radii.append(float(part))
         except ValueError:
-            raise ConfigError(f"bad radius {part!r}") from None
-    if len(radii) < 3:
-        raise ConfigError("need at least 3 radii")
+            raise ConfigError(f"run.radii: bad radius {part!r}") from None
+    if len(set(radii)) < 3:
+        raise ConfigError("run.radii: need at least 3 distinct radii")
     return radii
 
 
 def _load(entry, lipschitz):
     """An instance entry is a breakpoint file path or the literal 'wedge'."""
-    if entry == "wedge":
-        inst = bounds.wedge()
-        if lipschitz is not None:
-            inst = bounds.BoundInstance(inst.xs, inst.vs, lipschitz)
-        return "wedge", inst
-    name = os.path.basename(entry)
     try:
-        return name, bounds.read_instance(entry, lipschitz)
-    except OSError as exc:
-        raise ConfigError(f"{entry}: {exc}") from None
-    except ValueError as exc:
+        if entry == "wedge":
+            inst = bounds.wedge()
+            if lipschitz is not None:
+                inst = bounds.BoundInstance(inst.xs, inst.vs, lipschitz)
+            return "wedge", inst
+        return os.path.basename(entry), bounds.read_instance(entry, lipschitz)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{entry}: {exc}") from None
 
 

@@ -4,7 +4,7 @@ Run specs are INI files with three sections:
 
     [run]        experiment-level settings (seeds, sizes, output dir, ...)
     [instance]   problem construction knobs (graph model, noise, ...)
-    [optimizer]  per-optimizer knobs (q, d_max, spsa gains, ...)
+    [optimizer]  per-optimizer knobs (lipschitz, d_max, spsa gains, ...)
 
 Every value is a plain string in the file. The runners read every
 section through RunSpec.fields, which parses each key as its type and

@@ -16,8 +16,6 @@ def fmt_value(value):
         return fmt_value(value.item())  # branch, np.float64 reprs oddly
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

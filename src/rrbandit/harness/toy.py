@@ -65,7 +65,7 @@ def toy_objective(x):
 
 
 def make_toy_bandit(sigma=1.0):
-    return GaussianBandit(toy_objective, lipschitz=WEDGE_SLOPE, sigma=sigma)
+    return GaussianBandit(toy_objective, sigma=sigma)
 
 
 def _rr_setup(spec, budget):
@@ -80,6 +80,8 @@ def _rr_setup(spec, budget):
 def _spsa_setup(spec, budget):
     settings = spec.fields("optimizer", start=float, **SPSA_KEYS)
     start = settings.pop("start", 0.5)
+    if not 0.0 <= start <= 1.0:
+        raise ValueError(f"start must lie in [0, 1], got {start}")
     cfg = spsa_config(settings, budget, shots_per_eval=100_000, max_iters=200)
     return cfg, np.array([start])
 

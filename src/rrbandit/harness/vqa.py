@@ -43,14 +43,13 @@ def build_instance(experiment, size, spec, rng):
     if experiment == "pqc":
         if not 1 <= size <= MAX_QUBITS:
             raise ConfigError(f"pqc size {size} outside 1..{MAX_QUBITS}")
-        bandit = checked("instance", PqcBandit, size, **spec.fields(
-            "instance", layers=int, lipschitz=float))
+        bandit = checked("instance", PqcBandit, size,
+                         **spec.fields("instance", layers=int))
         return bandit, f"pqc-n{size}-l{bandit.layers}"
     if experiment == "qaoa":
         if not 2 <= size <= MAX_QUBITS:
             raise ConfigError(f"qaoa size {size} outside 2..{MAX_QUBITS}")
-        settings = spec.fields("instance", edge_prob=float, layers=int,
-                               lipschitz=float)
+        settings = spec.fields("instance", edge_prob=float, layers=int)
         edge_prob = settings.pop("edge_prob", 0.5)
         for _ in range(MAX_GRAPH_DRAWS):
             graph = checked("instance", erdos_renyi, size, rng, edge_prob)
@@ -67,9 +66,8 @@ def build_instance(experiment, size, spec, rng):
 
 def _driver_config(acceptance, spec, budget):
     return DriverConfig(acceptance=acceptance, budget=budget, **spec.fields(
-        "optimizer", lipschitz=float, delta=float, q=float, d_max=int,
-        epsilon_line=float, wrap=str, raw_location_acceptance=bool,
-        early_stop_depth1=bool, max_steps=int))
+        "optimizer", lipschitz=float, delta=float, d_max=int,
+        epsilon_line=float, wrap=str, early_stop_depth1=bool, max_steps=int))
 
 
 def _spsa_config(spec, budget):

@@ -3,9 +3,9 @@
 A LinearSlice restricts a bandit to g(s) = f(wrap(p + s*u)) for s in [0,1].
 Drivers chain elimination line searches along changing directions: cycling
 coordinate directions with classical direction-set updates (powell_driver),
-or uniformly random directions with a Metropolis-style or
-accept-if-improved rule (random_direction_driver). The incumbent value is
-carried between steps as the line's free observation at s = 0.
+or uniformly random directions with an improvement or nearest-probe
+acceptance rule (random_direction_driver). The incumbent value is carried
+between steps as the line's free observation at s = 0.
 """
 
 import math
@@ -50,11 +50,9 @@ class LinearSlice:
 class SliceBandit(Bandit):
     """1-d view of a parent bandit along a LinearSlice."""
 
-    def __init__(self, parent, sl, lipschitz):
+    def __init__(self, parent, sl):
         self.parent = parent
         self.slice = sl
-        self.lipschitz = float(lipschitz)
-        self.dimension = 1
         self.sigma = parent.sigma
 
     def mean(self, s):
@@ -72,19 +70,17 @@ class DriverConfig:
     mean fewer arms per line. delta is the per-line confidence parameter
     fed to the sample-count rule; values above ~1 deliberately shrink the
     confidence intervals below their calibrated size, trading the coverage
-    guarantee for speed. q is the rejection temperature of the Metropolis
-    acceptance rule, d_max caps line-search depth, epsilon_line is the
-    dyadic target resolution of a full-depth line search.
+    guarantee for speed. d_max caps line-search depth, epsilon_line is
+    the dyadic target resolution of a full-depth line search, and
+    acceptance picks random_direction_driver's rule.
     """
 
     lipschitz: float = 0.5
     delta: float = 20.0
-    q: float = 400.0
     d_max: int = 1
     epsilon_line: float = 2.0 ** -7
     wrap: str = "periodic"
     acceptance: str = "reject"  # "reject" or "aim"
-    raw_location_acceptance: bool = False
     early_stop_depth1: bool = False
     max_steps: int = 100_000
     budget: Optional[int] = None
@@ -95,8 +91,6 @@ class DriverConfig:
             raise ValueError("d_max must be at least 1")
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
-        if not self.q >= 0:
-            raise ValueError("q must be non-negative")
         if self.max_steps < 0:
             raise ValueError("max_steps must be non-negative")
         if self.wrap not in WRAPS:
@@ -144,7 +138,7 @@ def rr_line_search(bandit, sl, cfg, rng, incumbent_value, budget=None):
     minimizer over the incumbent and every probed grid arm.
     """
     lips = cfg.lipschitz * sl.direction_norm
-    line = SliceBandit(bandit, sl, lips)
+    line = SliceBandit(bandit, sl)
     line_cfg = rr.RRConfig(cfg.epsilon_line, cfg.delta, lips,
                            early_stop_depth1=cfg.early_stop_depth1)
     _, state = rr.run(line, line_cfg, rng, max_depth=cfg.d_max,
@@ -230,12 +224,12 @@ def powell_driver(bandit, start, cfg, rng, stop_condition=None):
 def random_direction_driver(bandit, start, cfg, rng, stop_condition=None):
     """Line searches along uniformly random directions.
 
-    acceptance="reject": an improving line minimum always moves the point;
-    a worsening one moves it with probability exp(-q * (g_hat - incumbent))
-    (or exp(-q * (s_hat - s_prev)) on locations when
-    raw_location_acceptance is set). acceptance="aim": the move is accepted
-    iff the new estimate beats the previous line's estimate at the nearest
-    probed location (first step: beats the incumbent).
+    acceptance="reject": the point moves to the line minimum iff it beats
+    the incumbent. rr_line_search returns the incumbent itself when no
+    probed arm beats it, so a step that is not accepted leaves the point
+    where it was. acceptance="aim": the move is accepted iff the new
+    estimate beats the previous line's estimate at the nearest probed
+    location (first step: beats the incumbent).
     """
     res = _start_result(bandit, start, cfg, rng)
     d = res.point.shape[0]
@@ -243,7 +237,6 @@ def random_direction_driver(bandit, start, cfg, rng, stop_condition=None):
         return res
     prev_locations = None
     prev_values = None
-    s_prev = 0.0
     for k in range(1, cfg.max_steps + 1):
         gauss = rng.child(k, 0).standard_normal(d)
         norm = float(np.linalg.norm(gauss))
@@ -261,29 +254,15 @@ def random_direction_driver(bandit, start, cfg, rng, stop_condition=None):
                                         res.samples_used))
             break
 
-        if cfg.acceptance == "reject":
-            if line.g_hat < res.value:
-                accepted = True
-            else:
-                if cfg.raw_location_acceptance:
-                    exponent = -cfg.q * (line.s_hat - s_prev)
-                else:
-                    exponent = -cfg.q * (line.g_hat - res.value)
-                prob = min(1.0, math.exp(min(exponent, 0.0)))
-                accepted = rng.child(k, 1).random() < prob
+        if cfg.acceptance == "reject" or prev_locations is None:
+            accepted = line.g_hat < res.value
         else:  # aim
-            if prev_locations is None:
-                accepted = line.g_hat < res.value
-            else:
-                nearest = int(np.argmin(np.abs(prev_locations - line.s_hat)))
-                accepted = line.g_hat < prev_values[nearest]
+            nearest = int(np.argmin(np.abs(prev_locations - line.s_hat)))
+            accepted = line.g_hat < prev_values[nearest]
 
         if accepted:
             res.point = sl.point(line.s_hat)
             res.value = line.g_hat
-            s_prev = line.s_hat
-        else:
-            s_prev = 0.0
         prev_locations = line.locations
         prev_values = line.values
         res.steps.append(StepRecord(k, direction, accepted, res.value,

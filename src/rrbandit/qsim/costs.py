@@ -181,8 +181,7 @@ class PqcBandit(_ShotBandit):
     CZ gates on neighbors. The shot reward for bitstring z is
     1 - (#zero bits)/n, so the all-zero state costs 0: numerator the
     number of one bits of z, denominator n. Layer count defaults to the
-    qubit count. lipschitz is advisory for line-search grids; it is not
-    validated against the true smoothness.
+    qubit count.
 
     Both gates are real, so the state is simulated as float64. A step is
     one layer: its rotations are one apply_rotation call with per-qubit
@@ -190,13 +189,12 @@ class PqcBandit(_ShotBandit):
     once.
     """
 
-    def __init__(self, n, layers=None, lipschitz=0.5):
+    def __init__(self, n, layers=None):
         self.n = int(n)
         self.layers = self.n if layers is None else int(layers)
         if self.layers < 1:
             raise ValueError("need at least one layer")
         self.dimension = self.n * self.layers
-        self.lipschitz = float(lipschitz)
         self.numerators = _ones(np.arange(1 << self.n, dtype=np.int64), self.n)
         self.denominator = self.n
         # 1 - (fraction of zero bits), not numerators / n, which rounds
@@ -247,7 +245,7 @@ class QaoaBandit(_ShotBandit):
     in basis-state order, with the bits the full state gives.
     """
 
-    def __init__(self, graph, layers=2, lipschitz=0.5):
+    def __init__(self, graph, layers=2):
         if graph.m == 0:
             raise ValueError("graph must have at least one edge")
         self.graph = graph
@@ -255,7 +253,6 @@ class QaoaBandit(_ShotBandit):
         if self.layers < 1:
             raise ValueError("need at least one layer")
         self.dimension = 2 * self.layers
-        self.lipschitz = float(lipschitz)
         cuts = cut_values(graph)
         self.maxcut = int(cuts.max())
         self.rewards = 1.0 - cuts / self.maxcut

@@ -5,8 +5,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .. import _accel
-
 MAX_CUT_VERTICES = 24
 
 
@@ -30,12 +28,6 @@ class Graph:
     def m(self):
         return len(self.edges)
 
-    def edge_arrays(self):
-        if not self.edges:
-            raise ValueError("graph has no edges")
-        arr = np.asarray(self.edges, dtype=np.int64)
-        return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
-
 
 def complete_graph(n):
     return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
@@ -56,10 +48,21 @@ def erdos_renyi(n, rng, edge_prob=0.5):
 
 
 def cut_values(graph):
-    """Cut size of every bitmask bipartition, indexed by basis state."""
+    """Cut size of every bitmask bipartition, indexed by basis state.
+
+    Bit i of a mask is vertex i. The table counts integer cuts over
+    chunks of 2^16 masks at a time, so it is exact.
+    """
     if graph.n > MAX_CUT_VERTICES:
         raise ValueError(f"cut table limited to {MAX_CUT_VERTICES} vertices")
+    size = 1 << graph.n
     if graph.m == 0:
-        return np.zeros(1 << graph.n, dtype=np.int64)
-    eu, ev = graph.edge_arrays()
-    return _accel.cut_values(graph.n, eu, ev)
+        return np.zeros(size, dtype=np.int64)
+    edges = np.asarray(graph.edges, dtype=np.int64)
+    eu, ev = edges[:, 0], edges[:, 1]
+    out = np.empty(size, dtype=np.int64)
+    chunk = 1 << 16
+    for lo in range(0, size, chunk):
+        z = np.arange(lo, min(lo + chunk, size), dtype=np.int64)[:, None]
+        out[lo:lo + z.shape[0]] = (((z >> eu) ^ (z >> ev)) & 1).sum(axis=1)
+    return out

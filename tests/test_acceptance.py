@@ -53,8 +53,7 @@ def _pac_runs(sigma):
     for i in range(5):
         inst = bounds.random_unimodal(gen.child(i))
         cfg = rr.RRConfig(EPS_PAC, DELTA_PAC, inst.lipschitz)
-        bandit = GaussianBandit(inst.value, lipschitz=inst.lipschitz,
-                                sigma=sigma)
+        bandit = GaussianBandit(inst.value, sigma=sigma)
         failures = 0
         tau_max = 0
         for seed in range(100):
@@ -125,7 +124,7 @@ def test_criterion_3_budget_bounds(pac_runs, record_criterion):
     # log-log regression of measured pulls against resolution on the
     # two-sided wedge, whose near-optimal covering numbers are flat
     inst = bounds.wedge()
-    bandit = GaussianBandit(inst.value, lipschitz=inst.lipschitz, sigma=1.0)
+    bandit = GaussianBandit(inst.value, sigma=1.0)
     log_inv_eps, log_tau = [], []
     for d in range(3, 8):
         eps = 2.0 ** -d
@@ -153,8 +152,7 @@ def test_criterion_4_exclusion_soundness(record_criterion):
     for i in range(1000):
         inst = bounds.random_unimodal(gen.child(i))
         cfg = rr.RRConfig(EPS_PAC, DELTA_PAC, inst.lipschitz)
-        bandit = GaussianBandit(inst.value, lipschitz=inst.lipschitz,
-                                sigma=0.0)
+        bandit = GaussianBandit(inst.value, sigma=0.0)
         state = rr.RRState()
         rng = SeededRng(0)
         for _ in range(cfg.depth):

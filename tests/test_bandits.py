@@ -14,7 +14,7 @@ def test_sample_mean_rejects_nonpositive_n():
 
 
 def test_gaussian_zero_noise_is_exact_oracle():
-    b = GaussianBandit(lambda x: 3.0 * x, lipschitz=3.0, sigma=0.0)
+    b = GaussianBandit(lambda x: 3.0 * x, sigma=0.0)
     assert b.sample_mean(0.5, 1000, SeededRng(1)) == 1.5
     assert b.mean(0.25) == 0.75
 
@@ -54,14 +54,13 @@ def test_gaussian_mean_fn_returns_one_mean_per_point():
 
 
 def test_counting_bandit_ledgers_every_pull():
-    inner = GaussianBandit(lambda x: x, lipschitz=1.0, sigma=1.0)
+    inner = GaussianBandit(lambda x: x, sigma=1.0)
     c = CountingBandit(inner)
     c.sample_mean(0.2, 17, SeededRng(0))
     assert c.count == 17
     c.mean(0.3)  # oracle call, not a pull
     assert c.count == 17
-    assert c.lipschitz == inner.lipschitz
-    assert c.dimension == inner.dimension
+    assert c.sigma == inner.sigma
 
 
 def test_counting_bandit_passes_values_through():
@@ -99,20 +98,18 @@ def test_wrappers_forward_the_noise_scale():
     noisy = GaussianBandit(np.zeros_like, sigma=6.0)
     assert CountingBandit(noisy).sigma == 6.0
     sl = LinearSlice((0.5,), (1.0,))
-    assert SliceBandit(noisy, sl, lipschitz=1.0).sigma == 6.0
-    assert SliceBandit(CountingBandit(Bandit()), sl, 1.0).sigma == 1.0
+    assert SliceBandit(noisy, sl).sigma == 6.0
+    assert SliceBandit(CountingBandit(Bandit()), sl).sigma == 1.0
 
 
 class _Recorder(Bandit):
-    dimension = 2
-
     def __init__(self):
         self.points = []
 
     def sample_means(self, points, n, rng):
         # one float64 array of all the points, not one object per point
         assert type(points) is np.ndarray and points.dtype == np.float64
-        assert points.shape == (len(points), self.dimension)
+        assert points.shape == (len(points), 2)
         self.points.extend(points.tolist())
         return np.zeros(len(points))
 
@@ -120,7 +117,7 @@ class _Recorder(Bandit):
 def test_slice_bandit_maps_points_and_forwards_them():
     parent = _Recorder()
     sl = LinearSlice((0.5, 0.25), (1.0, 0.5), "periodic")
-    line = SliceBandit(parent, sl, lipschitz=1.0)
+    line = SliceBandit(parent, sl)
     out = line.sample_means(np.array([0.0, 0.25, 0.75]), 3, SeededRng(0))
     assert out.tolist() == [0.0, 0.0, 0.0]
     assert parent.points == [sl.point(s).tolist() for s in (0.0, 0.25, 0.75)]

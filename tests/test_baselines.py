@@ -72,7 +72,7 @@ def test_spsa_config_validation():
 # -------------------------------------------------------------- spsa
 
 def test_spsa_zero_gain_never_moves():
-    bandit = GaussianBandit(quadratic([0.3, 0.7]), sigma=0.0, dimension=2)
+    bandit = GaussianBandit(quadratic([0.3, 0.7]), sigma=0.0)
     cfg = SpsaConfig(max_iters=20, a=0.0)
     res = spsa(bandit, np.array([0.6, 0.6]), cfg, SeededRng(0))
     assert np.array_equal(res.point, [0.6, 0.6])
@@ -80,7 +80,7 @@ def test_spsa_zero_gain_never_moves():
 
 
 def test_spsa_converges_on_noiseless_quadratic():
-    bandit = GaussianBandit(quadratic([0.5, 0.5]), sigma=0.0, dimension=2)
+    bandit = GaussianBandit(quadratic([0.5, 0.5]), sigma=0.0)
     cfg = SpsaConfig(max_iters=300)
     res = spsa(bandit, np.array([0.2, 0.8]), cfg, SeededRng(1))
     assert np.linalg.norm(res.point - 0.5) < 0.05
@@ -89,15 +89,14 @@ def test_spsa_converges_on_noiseless_quadratic():
 
 def test_spsa_clips_iterates_to_unit_cube():
     # steep slope pushes hard toward the boundary
-    bandit = GaussianBandit(lambda p: 10.0 * p[..., 0], sigma=0.0,
-                            dimension=1)
+    bandit = GaussianBandit(lambda p: 10.0 * p[..., 0], sigma=0.0)
     cfg = SpsaConfig(max_iters=50)
     res = spsa(bandit, np.array([0.1]), cfg, SeededRng(2))
     assert 0.0 <= res.point[0] <= 1.0
 
 
 def test_spsa_budget_stops_early():
-    bandit = GaussianBandit(quadratic([0.5, 0.5]), sigma=1.0, dimension=2)
+    bandit = GaussianBandit(quadratic([0.5, 0.5]), sigma=1.0)
     cfg = SpsaConfig(max_iters=100, shots_per_eval=3, budget=10)
     res = spsa(bandit, np.array([0.2, 0.8]), cfg, SeededRng(3))
     assert res.budget_exhausted
@@ -106,7 +105,7 @@ def test_spsa_budget_stops_early():
 
 
 def test_spsa_ledger_matches_counting_bandit():
-    inner = GaussianBandit(quadratic([0.5, 0.5]), sigma=1.0, dimension=2)
+    inner = GaussianBandit(quadratic([0.5, 0.5]), sigma=1.0)
     counting = CountingBandit(inner)
     cfg = SpsaConfig(max_iters=25, shots_per_eval=7)
     res = spsa(counting, np.array([0.4, 0.4]), cfg, SeededRng(4))
@@ -114,7 +113,7 @@ def test_spsa_ledger_matches_counting_bandit():
 
 
 def test_spsa_stop_condition():
-    bandit = GaussianBandit(quadratic([0.5, 0.5]), sigma=0.0, dimension=2)
+    bandit = GaussianBandit(quadratic([0.5, 0.5]), sigma=0.0)
     cfg = SpsaConfig(max_iters=500)
     res = spsa(bandit, np.array([0.2, 0.8]), cfg, SeededRng(5),
                stop_condition=lambda p: bandit.mean(p) < 0.01)
@@ -123,7 +122,7 @@ def test_spsa_stop_condition():
 
 
 def test_spsa_deterministic():
-    bandit = GaussianBandit(quadratic([0.5, 0.5]), sigma=1.0, dimension=2)
+    bandit = GaussianBandit(quadratic([0.5, 0.5]), sigma=1.0)
     cfg = SpsaConfig(max_iters=30)
     a = spsa(bandit, np.array([0.2, 0.8]), cfg, SeededRng(6))
     b = spsa(bandit, np.array([0.2, 0.8]), cfg, SeededRng(6))
@@ -134,7 +133,7 @@ def test_spsa_deterministic():
 # ------------------------------------------------------ powell + brent
 
 def test_powell_brent_zero_noise_quadratic():
-    bandit = GaussianBandit(quadratic([0.3, 0.7]), sigma=0.0, dimension=2)
+    bandit = GaussianBandit(quadratic([0.3, 0.7]), sigma=0.0)
     cfg = PowellBrentConfig(max_iters=30, xtol=1e-8, ftol=1e-10)
     res = powell_brent(bandit, np.array([0.5, 0.5]), cfg, SeededRng(0))
     assert np.allclose(res.point, [0.3, 0.7], atol=1e-3)
@@ -143,7 +142,7 @@ def test_powell_brent_zero_noise_quadratic():
 
 
 def test_powell_brent_ledger_matches_counting_bandit():
-    inner = GaussianBandit(quadratic([0.3, 0.7]), sigma=0.1, dimension=2)
+    inner = GaussianBandit(quadratic([0.3, 0.7]), sigma=0.1)
     counting = CountingBandit(inner)
     cfg = PowellBrentConfig(max_iters=3, shots_per_eval=5)
     res = powell_brent(counting, np.array([0.5, 0.5]), cfg, SeededRng(1))
@@ -152,7 +151,7 @@ def test_powell_brent_ledger_matches_counting_bandit():
 
 
 def test_powell_brent_budget_returns_best_seen():
-    inner = GaussianBandit(quadratic([0.3, 0.7]), sigma=0.0, dimension=2)
+    inner = GaussianBandit(quadratic([0.3, 0.7]), sigma=0.0)
     counting = CountingBandit(inner)
     cfg = PowellBrentConfig(max_iters=50, shots_per_eval=10, budget=200)
     res = powell_brent(counting, np.array([0.5, 0.5]), cfg, SeededRng(2))
@@ -165,7 +164,7 @@ def test_powell_brent_budget_returns_best_seen():
 
 
 def test_powell_brent_stop_condition():
-    bandit = GaussianBandit(quadratic([0.3, 0.7]), sigma=0.0, dimension=2)
+    bandit = GaussianBandit(quadratic([0.3, 0.7]), sigma=0.0)
     cfg = PowellBrentConfig(max_iters=50)
     res = powell_brent(bandit, np.array([0.5, 0.5]), cfg, SeededRng(3),
                        stop_condition=lambda p: bandit.mean(p) < 0.02)

@@ -48,6 +48,9 @@ def test_instance_validation():
         B((0.0, 1.0), (0.0, -1.0))  # negative value
     with pytest.raises(ValueError):
         B((0.0, 1.0), (0.0, 1.0), lipschitz=0.5)  # slope above declared L
+    for bad in (0.0, -1.0, math.nan, math.inf):  # L must be in (0, inf)
+        with pytest.raises(ValueError, match="lipschitz"):
+            B((0.0, 1.0), (0.0, 1.0), lipschitz=bad)
     inst = B((0.0, 1.0), (0.0, 1.0), lipschitz=3.0)
     assert inst.lipschitz == 3.0  # looser declared constant is kept
 
@@ -191,10 +194,17 @@ def test_zooming_fit_wedge_is_flat():
 def test_zooming_fit_needs_three_usable_radii():
     with pytest.raises(ValueError):
         bounds.zooming_fit(UNIT_WEDGE, (0.25, 0.125))
+    for repeated in ((0.25, 0.25, 0.25), (0.25, 0.125, 0.25, 0.125)):
+        with pytest.raises(ValueError, match="distinct"):
+            # a repeated radius adds no point to the log-log fit
+            bounds.zooming_fit(UNIT_WEDGE, repeated)
     shallow = bounds.BoundInstance((0.0, 0.5, 1.0), (0.3, 0.0, 0.3))
     with pytest.raises(ValueError):
         # every band sits above the instance's maximum value
         bounds.zooming_fit(shallow, (0.4, 0.45, 0.5))
+    with pytest.raises(ValueError, match="distinct"):
+        # three distinct radii, but only two of them usable
+        bounds.zooming_fit(shallow, (0.45, 0.1, 0.1, 0.05))
 
 
 # ------------------------------------------------- random generation

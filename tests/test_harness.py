@@ -356,11 +356,11 @@ def test_empty_spec_builds_the_constructor_default_instances(
         tmp_path, monkeypatch):
     bandit, _ = build_instance("pqc", 3, RunSpec(), SeededRng(0))
     ref = PqcBandit(3)
-    assert (bandit.layers, bandit.lipschitz) == (ref.layers, ref.lipschitz)
+    assert (bandit.layers, bandit.dimension) == (ref.layers, ref.dimension)
     bandit, _ = build_instance("qaoa", 6, RunSpec(), SeededRng(1))
     ref = QaoaBandit(erdos_renyi(6, SeededRng(1), 0.5))
-    assert ((bandit.graph, bandit.layers, bandit.lipschitz)
-            == (ref.graph, ref.layers, ref.lipschitz))
+    assert ((bandit.graph, bandit.layers, bandit.dimension)
+            == (ref.graph, ref.layers, ref.dimension))
     built = []
 
     def recording_toy_bandit(**kwargs):
@@ -385,7 +385,7 @@ def test_readme_spec_example_is_accepted(tmp_path):
     run = spec.fields("run", optimizer=str, sizes=str, seeds=str,
                       budget=int, threshold=float, workers=int)
     config = optimizer_config(spec, run["optimizer"], run["budget"])
-    assert (config.q, config.d_max) == (400, 1)
+    assert (config.acceptance, config.d_max) == ("reject", 1)
     build_instance("qaoa", expand_ints(run["sizes"], "run.sizes")[0], spec,
                    SeededRng(0))
 
@@ -534,6 +534,22 @@ def test_run_bounds_reads_instance_files(tmp_path):
         run_bounds(spec)
 
 
+@pytest.mark.parametrize("value", ["0.1", "0", "-1", "nan", "inf"])
+def test_run_bounds_refuses_a_bad_declared_lipschitz(tmp_path, value):
+    """run.lipschitz must be finite, positive and at least every slope,
+    for the wedge and for breakpoint files alike."""
+    inst = tmp_path / "tri.txt"
+    inst.write_text("0.0 0.5\n0.25 0.0\n1.0 0.75\n")
+    for entry in ("wedge", str(inst)):
+        spec = RunSpec()
+        spec.set("run", "instances", entry)
+        spec.set("run", "lipschitz", value)
+        spec.set("run", "out", str(tmp_path / "b"))
+        with pytest.raises(ConfigError, match="lipschitz"):
+            run_bounds(spec)
+    assert not (tmp_path / "b").exists()
+
+
 # ---------------------------------------------------------------- cli
 
 def test_cli_toy_runs_and_exits_zero(tmp_path, capsys):
@@ -586,6 +602,12 @@ def test_cli_sizes_take_ranges_in_any_order(tmp_path, capsys):
     # keys the runner does not read
     ["pqc", "--set", "optimizer.dmax=3"],
     ["qaoa", "--optimizer", "spsa", "--set", "optimizer.q=3"],
+    ["qaoa", "--set", "optimizer.q=nan"],
+    ["qaoa", "--optimizer", "rr_reject", "--set", "optimizer.q=400"],
+    ["qaoa", "--optimizer", "rr_reject",
+     "--set", "optimizer.raw_location_acceptance=yes"],
+    ["pqc", "--set", "instance.lipschitz=0.5"],
+    ["qaoa", "--set", "instance.lipschitz=0.5"],
     ["pqc", "--set", "instance.edge_prob=0.5"],
     ["toy", "--set", "optimizer.epsilom=0.0625"],
     ["qaoa", "--sizes", "2", "--seeds", "0",
@@ -606,7 +628,6 @@ def test_cli_sizes_take_ranges_in_any_order(tmp_path, capsys):
     ["qaoa", "--set", "optimizer.delta=nan"],
     ["qaoa", "--set", "optimizer.delta=inf"],
     ["qaoa", "--set", "optimizer.lipschitz=inf"],
-    ["qaoa", "--set", "optimizer.q=nan"],
     ["qaoa", "--set", "optimizer.max_steps=-2"],
     # non-finite rr, SPSA and Powell-Brent values, and negative tolerances
     ["toy", "--seeds", "0", "--set", "optimizer.delta=inf"],
@@ -628,6 +649,22 @@ def test_cli_sizes_take_ranges_in_any_order(tmp_path, capsys):
     ["toy", "--seeds", "0", "--set", "instance.sigma=inf"],
     ["toy", "--seeds", "0", "--set", "optimizer.delta=1"],
     ["toy", "--seeds", "0", "--set", "optimizer.delta=5"],
+    # a start off the unit interval, a declared Lipschitz constant off
+    # (0, inf) or below the wedge's slope, and a fit with one radius
+    ["toy", "--optimizer", "spsa", "--seeds", "0",
+     "--set", "optimizer.start=nan"],
+    ["toy", "--optimizer", "spsa", "--seeds", "0",
+     "--set", "optimizer.start=2"],
+    ["toy", "--optimizer", "spsa", "--seeds", "0",
+     "--set", "optimizer.start=inf"],
+    ["toy", "--optimizer", "spsa", "--seeds", "0",
+     "--set", "optimizer.start=-inf"],
+    ["bounds", "--set", "run.lipschitz=0.1"],
+    ["bounds", "--set", "run.lipschitz=-1"],
+    ["bounds", "--set", "run.lipschitz=0"],
+    ["bounds", "--set", "run.lipschitz=nan"],
+    ["bounds", "--set", "run.lipschitz=inf"],
+    ["bounds", "--set", "run.radii=0.25,0.25,0.25"],
 ])
 def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
     """A value an optimizer config or an instance rejects, or a key its
@@ -637,6 +674,57 @@ def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(out_dir)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["qaoa", "--optimizer", "rr_reject", "--set", "optimizer.q=400"],
+     "optimizer.q"),
+    (["qaoa", "--optimizer", "rr_reject",
+      "--set", "optimizer.raw_location_acceptance=yes"],
+     "optimizer.raw_location_acceptance"),
+    (["pqc", "--set", "instance.lipschitz=0.5"], "instance.lipschitz"),
+    (["qaoa", "--set", "instance.lipschitz=0.5"], "instance.lipschitz"),
+    (["toy", "--optimizer", "spsa", "--set", "optimizer.start=nan"],
+     "start"),
+    (["bounds", "--set", "run.lipschitz=inf"], "lipschitz"),
+    (["bounds", "--set", "run.radii=0.25,0.25,0.25"], "run.radii"),
+])
+def test_cli_refusals_name_the_key(argv, key, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+QAOA_REJECT = ["qaoa", "--sizes", "4", "--seeds", "0..1", "--budget", "300000",
+               "--optimizer", "rr_reject"]
+
+
+KEY_CASES = [
+    (QAOA_REJECT, [], "optimizer.delta=0.5"),
+    (QAOA_REJECT, [], "optimizer.lipschitz=1.5"),
+    (QAOA_REJECT, [], "optimizer.wrap=truncated"),
+    (QAOA_REJECT, [], "optimizer.d_max=2"),
+    (QAOA_REJECT, [], "optimizer.max_steps=1"),
+    (QAOA_REJECT, ["optimizer.d_max=3"], "optimizer.early_stop_depth1=yes"),
+    (QAOA_REJECT, ["optimizer.d_max=3"], "optimizer.epsilon_line=0.5"),
+    (QAOA_REJECT, [], "instance.layers=1"),
+    (QAOA_REJECT, [], "instance.edge_prob=0.9"),
+    (["pqc", "--sizes", "3"] + QAOA_REJECT[3:], [], "instance.layers=1"),
+    (["toy", "--seeds", "0..1"], [], "instance.sigma=0.5"),
+]
+
+
+@pytest.mark.parametrize("argv, base, key", KEY_CASES,
+                         ids=[f"{argv[0]}-{key}" for argv, _, key in KEY_CASES])
+def test_every_accepted_key_moves_an_output(argv, base, key, tmp_path):
+    """Each [optimizer] key of the rr_* drivers and each [instance] key
+    changes runs.csv: none is accepted and then left unread."""
+    digests = []
+    for name, sets in (("base", base), ("key", base + [key])):
+        out_dir = tmp_path / name
+        flags = [arg for pair in sets for arg in ("--set", pair)]
+        assert main(argv + flags + ["--out", str(out_dir)]) == 0
+        digests.append((out_dir / "runs.csv").read_bytes())
+    assert digests[0] != digests[1]
 
 
 def test_cli_program_errors_propagate(tmp_path, monkeypatch):

@@ -102,7 +102,7 @@ def test_ci_half_width():
 # ------------------------------------------------------------- rounds
 
 def _wedge_bandit(sigma=0.0):
-    return GaussianBandit(lambda x: abs(x - 0.5), lipschitz=1.0, sigma=sigma)
+    return GaussianBandit(lambda x: abs(x - 0.5), sigma=sigma)
 
 
 def test_zero_noise_wedge_round1_frozen():
@@ -178,7 +178,7 @@ def test_rounds_are_deterministic_given_seed():
 
 def _pqc_line():
     sl = LinearSlice((0.3, 0.6, 0.1, 0.8), (1.0, 0.0, 0.0, 0.0))
-    return SliceBandit(PqcBandit(2), sl, lipschitz=1.0)
+    return SliceBandit(PqcBandit(2), sl)
 
 
 @pytest.mark.parametrize("bandit", [_wedge_bandit(1.0), _pqc_line()],

@@ -69,7 +69,7 @@ def test_powell_brent_imports_scipy_at_its_first_call(tmp_path):
         "before = 'scipy' in sys.modules",
         "bandit = GaussianBandit(",
         "    lambda p: np.sum((p - np.array([0.3, 0.7])) ** 2, axis=-1),",
-        "    sigma=0.0, dimension=2)",
+        "    sigma=0.0)",
         "cfg = PowellBrentConfig(max_iters=30, xtol=1e-8, ftol=1e-10)",
         "res = powell_brent(bandit, np.array([0.5, 0.5]), cfg, SeededRng(0))",
         "print(json.dumps([before, 'scipy' in sys.modules,",
