@@ -201,7 +201,7 @@ def powell_driver(bandit, start, cfg, rng, stop_condition=None):
             line = rr_line_search(bandit, sl, cfg, rng.child(k), res.value,
                                   budget=remaining)
             res.samples_used += line.samples_used
-            accepted = line.s_hat != 0.0 and line.g_hat < res.value
+            accepted = line.g_hat < res.value
             if accepted:
                 decreases[i] = res.value - line.g_hat
                 displacement += line.s_hat * np.asarray(directions[i])

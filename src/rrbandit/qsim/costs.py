@@ -81,8 +81,8 @@ class _ShotBandit(Bandit):
       start steps leave at every point. A state holds the amplitudes of
       basis states 0..length - 1: all 2^n of them, or a half state (see
       QaoaBandit);
-    - outcome_probabilities(states), if state() returns half states: the
-      probabilities of all 2^n outcomes;
+    - outcome_probabilities(probs), if state() returns half states: the
+      probabilities of all 2^n outcomes, from probabilities(states);
     - batch: how many points state() simulates at once, from batch_size
       of the state's length and dtype;
     - steps, and step_of: the step that reads each parameter;
@@ -91,6 +91,26 @@ class _ShotBandit(Bandit):
       0..denominator; rewards holds the same scores as float64, from
       which mean() takes the exact expectation. All three run over the
       2^n basis states.
+
+    A bandit holds what it last simulated, so a point is not simulated
+    again while it is held:
+    - the probabilities (of the states state() returns) of the last batch
+      that sample_means simulated, and of the last point that mean()
+      simulated, each keyed by its point's float64 bytes (which tell 0.0
+      from -0.0). mean() and a sample_means call whose every point is
+      held read them instead of calling state(). A line search's round is
+      one batch on a narrow circuit, so the crossing check of its minimum
+      and the start's first draw, which follows its crossing check, find
+      their points held;
+    - the step states of the last point whose shared prefix sample_means
+      simulated, each keyed by the bytes of the parameters its step
+      reads. A prefix continues from the deepest held step whose
+      parameters, and every earlier step's, match; rr_powell's coordinate
+      lines share their base point's early steps.
+    Memory is at most one batch of probabilities, one point's
+    probabilities, and steps - 1 states of one point. Held values are
+    the bits the simulation gives, never written to, so every result is
+    bitwise what simulating again would give.
     """
 
     rewards = None  # float64 array over basis states
@@ -99,13 +119,17 @@ class _ShotBandit(Bandit):
     batch = None  # points per simulated batch
     steps = 0
     step_of = None  # int64 array over parameters
+    # what was last simulated; rebound by each simulation, never mutated
+    _batch_probs = {}  # point bytes -> probabilities
+    _mean_key, _mean_probs = None, None
+    _step_states = ()  # ((step's parameter bytes, state after it), ...)
 
     def state(self, params, stop=None, prefix=None):
         raise NotImplementedError
 
-    def outcome_probabilities(self, states):
-        """Probabilities of the 2^n outcomes of states from state()."""
-        return probabilities(states)
+    def outcome_probabilities(self, probs):
+        """Probabilities of the 2^n outcomes, from probabilities(states)."""
+        return probs
 
     def _params(self, params, shape):
         params = np.asarray(params, dtype=np.float64)
@@ -116,12 +140,34 @@ class _ShotBandit(Bandit):
             raise ValueError("parameters must be finite")
         return params
 
+    def _held(self, key):
+        """The held probabilities of the point with these bytes, or None."""
+        if key == self._mean_key:
+            return self._mean_probs
+        return self._batch_probs.get(key)
+
+    def _held_rows(self, keys):
+        """The held probabilities of every point, or None if one is not
+        held."""
+        rows = []
+        for key in keys:
+            row = self._held(key)
+            if row is None:
+                return None
+            rows.append(row)
+        return rows
+
     def mean(self, params):
         """Exact expected reward at one point, over the basis states that
         state() holds. On a half state that is the full expectation bit
         for bit: every term, and so both correctly rounded sums, count
         twice in the full one, and the factor of 2 cancels exactly."""
-        probs = probabilities(self.state(self._params(params, (self.dimension,))))
+        point = self._params(params, (self.dimension,))
+        key = point.tobytes()
+        probs = self._held(key)
+        if probs is None:
+            probs = probabilities(self.state(point))
+            self._mean_key, self._mean_probs = key, probs
         return expected_reward(probs, self.rewards[:probs.size])
 
     # perfbench patches this name in the class's own dict
@@ -131,12 +177,15 @@ class _ShotBandit(Bandit):
         """Average reward of n shots at each point, all drawn from rng.
 
         Only the work in which the points differ is done per point:
+        - Held points. When every point is held (class docstring), their
+          probabilities are read, not simulated; when every point is the
+          same, it is simulated once.
         - Shared prefix. The steps before the first one whose parameters
           differ across the points (compared bit for bit) are simulated
-          once, on one state. The points then run in batches of up to
-          batch, each starting from copies of that state. Every
-          amplitude sees the arithmetic it sees in state(point), so the
-          states are bitwise those.
+          once, on one state (continuing from held step states). The
+          points then run in batches of up to batch, each starting from
+          copies of that state. Every amplitude sees the arithmetic it
+          sees in state(point), so the states are bitwise those.
         - Level draws. A point's probabilities of the 2^n outcomes are
           summed onto the levels 0..denominator by numerator, in
           basis-state order (one weighted bincount per batch, over
@@ -154,16 +203,11 @@ class _ShotBandit(Bandit):
         if n < 1:
             raise ValueError("need at least one shot")
         params = self._params(points, (len(points), self.dimension))
-        bits = params.view(np.int64)  # tells 0.0 from -0.0
-        moved = self.step_of[np.any(bits != bits[0], axis=0)]
-        start = int(moved.min()) if moved.size else self.steps
-        prefix = (start, self.state(params[0], stop=start)) if start else None
         levels = self.denominator + 1
         scale = self.denominator * n
         out = np.empty(len(params), dtype=np.float64)
-        for lo in range(0, len(params), self.batch):
-            probs = self.outcome_probabilities(
-                self.state(params[lo:lo + self.batch], prefix=prefix))
+        for lo, probs in self._batch_probabilities(params):
+            probs = self.outcome_probabilities(probs)
             k = len(probs)
             index = self.numerators + levels * np.arange(k)[:, None]
             mass = np.bincount(index.ravel(), weights=probs.ravel(),
@@ -172,6 +216,47 @@ class _ShotBandit(Bandit):
             counts = rng.multinomial(n, mass / total[:, None])
             out[lo:lo + k] = (counts @ np.arange(levels)) / scale
         return out
+
+    def _batch_probabilities(self, params):
+        """Yield (index of the first point, probabilities(states)) for
+        params in batches of up to batch points: read when every point is
+        held, otherwise simulated from the shared prefix, each batch then
+        held."""
+        keys = [point.tobytes() for point in params]
+        held = self._held_rows(keys)
+        if held is None and keys.count(keys[0]) == len(keys):
+            # one point, however many times: simulate it once
+            probs = probabilities(self.state(params[0]))
+            self._batch_probs = {keys[0]: probs}
+            held = [probs] * len(keys)
+        if held is not None:
+            for lo in range(0, len(held), self.batch):
+                yield lo, np.array(held[lo:lo + self.batch])
+            return
+        bits = params.view(np.int64)  # tells 0.0 from -0.0
+        start = int(self.step_of[np.any(bits != bits[0], axis=0)].min())
+        prefix = (start, self._prefix(params[0], start)) if start else None
+        for lo in range(0, len(params), self.batch):
+            probs = probabilities(
+                self.state(params[lo:lo + self.batch], prefix=prefix))
+            self._batch_probs = dict(zip(keys[lo:lo + len(probs)], probs))
+            yield lo, probs
+
+    def _prefix(self, point, stop):
+        """The state after the first stop steps at one point, continued
+        from the deepest held step state that matches it; the point's
+        step states up to there are held for the next call."""
+        kept = []
+        for step, (key, psi) in enumerate(self._step_states):
+            if key != point[self.step_of == step].tobytes():
+                break
+            kept.append((key, psi))
+        for step in range(len(kept), stop):
+            prefix = (step, kept[-1][1]) if step else None
+            kept.append((point[self.step_of == step].tobytes(),
+                         self.state(point, stop=step + 1, prefix=prefix)))
+        self._step_states = tuple(kept)
+        return kept[stop - 1][1]
 
 
 class PqcBandit(_ShotBandit):
@@ -290,6 +375,5 @@ class QaoaBandit(_ShotBandit):
                             gammas[..., layer])
         return state
 
-    def outcome_probabilities(self, states):
-        probs = probabilities(states)
+    def outcome_probabilities(self, probs):
         return np.concatenate([probs, probs[..., ::-1]], axis=-1)

@@ -440,13 +440,23 @@ def test_run_single_budget_integrity():
 def test_run_single_simulates_each_incumbent_once(monkeypatch):
     """Crossing checks at an unchanged incumbent and final_cost reuse its
     exact mean: mean runs once per distinct point, and oracle_evals still
-    counts every check (8 here, as when each check simulated its point)."""
-    simulated, checked = [], []
+    counts every check (8 here, as when each check simulated its point).
+    No point's full circuit is simulated twice in the run: the start's
+    first draw and the checks of accepted line minima, arms of the round
+    just run, read what the bandit holds."""
+    simulated, checked, circuits = [], [], []
     exact_mean = _ShotBandit.mean
+    qaoa_state = QaoaBandit.state
 
     def recording_mean(self, params):
         simulated.append(np.asarray(params).tobytes())
         return exact_mean(self, params)
+
+    def recording_state(self, params, stop=None, prefix=None):
+        if stop is None:
+            circuits.extend(point.tobytes()
+                            for point in params.reshape(-1, self.dimension))
+        return qaoa_state(self, params, stop=stop, prefix=prefix)
 
     def recording_driver(bandit, start, cfg, rng, stop_condition):
         def stop(point):
@@ -455,6 +465,7 @@ def test_run_single_simulates_each_incumbent_once(monkeypatch):
         return powell_driver(bandit, start, cfg, rng, stop_condition=stop)
 
     monkeypatch.setattr(_ShotBandit, "mean", recording_mean)
+    monkeypatch.setattr(QaoaBandit, "state", recording_state)
     monkeypatch.setattr(vqa, "powell_driver", recording_driver)
     spec = RunSpec()
     config = optimizer_config(spec, "rr_powell", 300_000)
@@ -462,6 +473,9 @@ def test_run_single_simulates_each_incumbent_once(monkeypatch):
     assert row["oracle_evals"] == 1 + len(checked) == 8
     assert len(set(simulated)) == len(simulated) < row["oracle_evals"]
     assert set(simulated) == set(checked) | {simulated[0]}
+    assert len(circuits) > len(simulated)
+    assert len(set(circuits)) == len(circuits)
+    assert set(simulated) <= set(circuits)
 
 
 def test_run_vqa_schema_and_aggregate_consistency(tmp_path):

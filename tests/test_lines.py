@@ -110,6 +110,38 @@ def test_line_search_flat_slice_keeps_incumbent():
     assert res.g_hat == 0.5
 
 
+def test_line_search_returns_s_zero_only_with_the_incumbent_value():
+    """No grid arm sits at s = 0 and the incumbent wins ties, so a line
+    returns s_hat == 0.0 exactly when g_hat is the incumbent value, and
+    otherwise a g_hat below it. `g_hat < incumbent` alone is therefore
+    the drivers' test for a line that moves the point. Lines that
+    improve, flat lines tied with the incumbent, lines whose every arm
+    is worse, noisy and noise-free, at depths 1 and 2."""
+    for t in range(1, 9):
+        for lipschitz in (0.5, 1.0, 3.0, 7.5):
+            assert rr.grid_points(t, lipschitz).min() > 0.0
+    root = SeededRng(30)
+    for case in range(60):
+        rng = root.child(case)
+        center = rng.child(0).random(2)
+        base = tuple(rng.child(1).random(2).tolist())
+        direction = tuple(rng.child(2).standard_normal(2).tolist())
+        sigma = (0.0, 0.05, 0.5)[case % 3]
+        if case % 4 == 0:
+            parent = GaussianBandit(lambda p: np.full(len(p), 0.25),
+                                    sigma=sigma)
+            incumbent = 0.25
+        else:
+            parent = quadratic_bandit(center, sigma=sigma)
+            # the incumbent below, at or above the line's true value
+            incumbent = parent.mean(base) + (-0.5, 0.0, 0.5)[case % 3]
+        sl = LinearSlice(base, direction)
+        cfg = DriverConfig(d_max=1 + case % 2)
+        res = rr_line_search(parent, sl, cfg, rng.child(3), incumbent)
+        assert (res.s_hat == 0.0) == (res.g_hat == incumbent)
+        assert res.g_hat <= incumbent
+
+
 def test_line_search_depth_two_probes_more():
     parent = quadratic_bandit([0.3, 0.0])
     sl = LinearSlice((0.0, 0.0), (1.0, 0.0))

@@ -513,7 +513,7 @@ def test_shot_means_follow_the_born_distribution(bandit):
     """
     shots, reps = 40, 3000
     params = SeededRng(82).random(bandit.dimension)
-    probs = bandit.outcome_probabilities(bandit.state(params))
+    probs = bandit.outcome_probabilities(probabilities(bandit.state(params)))
     probs = probs / probs.sum()
     mu = float(probs @ bandit.rewards)
     var = float(probs @ (bandit.rewards - mu) ** 2) / shots
@@ -554,10 +554,12 @@ def test_sample_means_states_are_the_per_point_states(family, n,
                                                       monkeypatch):
     """sample_means simulates the steps its points share once and starts
     every batch from copies of that state; each state it scores is
-    bitwise state(point). Points share 0, 1, ..., all steps; k = 1, 16
-    and batch + 5, so a batch boundary is crossed and the prefix is
+    bitwise state(point), and points that share every step are one point,
+    simulated and scored once. Points share 0, 1, ..., all steps; k = 1,
+    16 and batch + 5, so a batch boundary is crossed and the prefix is
     shared across batches. Each step is one gate call, which sees the
-    prefix's steps on one state and every later step on each point's."""
+    prefix's steps on one state and every later step on each point's.
+    Each call goes to a fresh bandit, which holds no earlier simulation."""
     bandit = prefix_bandit(family, n)
     scored, gate_states = [], []
     monkeypatch.setattr(costs, "probabilities", lambda state: (
@@ -574,13 +576,137 @@ def test_sample_means_states_are_the_per_point_states(family, n,
             points = sharing_points(bandit, k, shared, root.child(shared, k))
             scored.clear()
             gate_states.clear()
-            bandit.sample_means(points, 10, root.child(shared, k, 0))
+            prefix_bandit(family, n).sample_means(points, 10,
+                                                  root.child(shared, k, 0))
             states = np.concatenate([s.reshape(-1, s.shape[-1])
                                      for s in scored])
             start = bandit.steps if k == 1 else shared
             assert sum(gate_states) == start + k * (bandit.steps - start)
+            assert len(states) == (1 if start == bandit.steps else k)
             for j in range(k):
-                assert states[j].tobytes() == bandit.state(points[j]).tobytes()
+                assert (states[j % len(states)].tobytes()
+                        == bandit.state(points[j]).tobytes())
+
+
+def recorded_states(monkeypatch, bandit):
+    """Record bandit's state() calls as (stop, copy of the result); calls
+    on other bandits of its class go through unrecorded."""
+    calls = []
+    state = type(bandit).state
+
+    def recording(self, params, stop=None, prefix=None):
+        out = state(self, params, stop=stop, prefix=prefix)
+        if self is bandit:
+            calls.append((stop, out.copy()))
+        return out
+
+    monkeypatch.setattr(type(bandit), "state", recording)
+    return calls
+
+
+def four_step_bandit(family, n):
+    """A 2-layer QAOA or a 4-layer PQC: four steps either way."""
+    if family == "pqc":
+        return PqcBandit(n, layers=4)
+    return prefix_bandit("qaoa2", n)
+
+
+@pytest.mark.parametrize("family", ["qaoa", "pqc"])
+@pytest.mark.parametrize("n", [3, 8, 14])
+def test_mean_at_a_held_point_is_the_fresh_mean(family, n, monkeypatch):
+    """mean() at a point of the last batch sample_means simulated, or at
+    the last point mean() simulated, reads the held probabilities instead
+    of calling state(), and returns bitwise what a fresh bandit returns.
+    A point one ulp away, or with -0.0 for 0.0, is not held."""
+    bandit = four_step_bandit(family, n)
+    calls = recorded_states(monkeypatch, bandit)
+    points = SeededRng(500 + n).random((bandit.batch + 5, bandit.dimension))
+    bandit.sample_means(points, 10, SeededRng(501))
+    last = points[(len(points) - 1) // bandit.batch * bandit.batch:]
+    calls.clear()
+    for point in last:
+        fresh = four_step_bandit(family, n).mean(point)
+        assert bandit.mean(point).hex() == fresh.hex()
+    assert calls == []
+    point = points[0].copy()
+    point[0] = 0.0
+    for moved in (0, 1):
+        if moved:
+            point[1] = np.nextafter(point[1], 2.0)
+        for zero in (0.0, -0.0, 0.0):
+            point[0] = zero
+            calls.clear()
+            fresh = four_step_bandit(family, n).mean(point)
+            assert bandit.mean(point).hex() == fresh.hex()
+            assert bandit.mean(point).hex() == fresh.hex()
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", ["qaoa", "pqc"])
+@pytest.mark.parametrize("n", [3, 8, 14])
+def test_draws_at_held_points_are_the_cold_draws(family, n, monkeypatch):
+    """A sample_means call whose every point is held draws from the held
+    probabilities without calling state(), and draws bitwise what a
+    bandit that holds nothing draws on the same stream: the last batch's
+    points repeated to batch + 5 points, so the read crosses a batch
+    boundary, and the last mean() point alone (the start's first draw)."""
+    bandit = four_step_bandit(family, n)
+    calls = recorded_states(monkeypatch, bandit)
+    root = SeededRng(510 + n)
+    points = root.child(0).random((bandit.batch + 5, bandit.dimension))
+    bandit.sample_means(points, 10, root.child(1))
+    last = points[(len(points) - 1) // bandit.batch * bandit.batch:]
+    again = np.resize(last, (bandit.batch + 5, bandit.dimension))
+    start = root.child(2).random(bandit.dimension)
+    calls.clear()
+    warm = bandit.sample_means(again, 1000, root.child(3))
+    assert calls == []
+    bandit.mean(start)
+    assert len(calls) == 1
+    warm_start = bandit.sample_mean(start, 1000, root.child(4))
+    assert len(calls) == 1
+    cold = four_step_bandit(family, n).sample_means(again, 1000,
+                                                    root.child(3))
+    assert warm.tobytes() == cold.tobytes()
+    cold_start = four_step_bandit(family, n).sample_mean(start, 1000,
+                                                         root.child(4))
+    assert warm_start.hex() == cold_start.hex()
+
+
+@pytest.mark.parametrize("family", ["qaoa", "pqc"])
+@pytest.mark.parametrize("n", [3, 8, 14])
+def test_prefix_continues_from_held_step_states(family, n, monkeypatch):
+    """Rounds whose first point is a base point, and whose points share
+    its first `stop` steps, continue the base's prefix from the deepest held step state whose
+    step parameters, and every earlier step's, match bit for bit. Stops
+    2, then 1, then 3 at one base run prefix steps 0-1, none, then step 2;
+    a base one ulp away in a step-0 parameter, or with -0.0 for 0.0,
+    matches nothing and runs them all. Every state scored and every draw
+    is bitwise what a fresh bandit gives."""
+    bandit = four_step_bandit(family, n)
+    calls = recorded_states(monkeypatch, bandit)
+    root = SeededRng(520 + n)
+    base = root.child(0).random(bandit.dimension)
+    first = np.flatnonzero(bandit.step_of == 0)[0]
+    ulp = base.copy()
+    ulp[first] = np.nextafter(ulp[first], 2.0)
+    zero, negative = base.copy(), base.copy()
+    zero[first], negative[first] = 0.0, -0.0
+    for case, (at, stop, runs) in enumerate([
+            (base, 2, 2), (base, 1, 0), (base, 3, 1), (ulp, 3, 3),
+            (ulp, 2, 0), (base, 3, 3), (zero, 2, 2), (negative, 2, 2),
+            (negative, 3, 1), (zero, 1, 1)]):
+        points = root.child(1, case).random((16, bandit.dimension))
+        points[:, bandit.step_of < stop] = at[bandit.step_of < stop]
+        points[0] = at
+        calls.clear()
+        warm = bandit.sample_means(points, 1000, root.child(2, case))
+        assert sum(1 for end, _ in calls if end is not None) == runs
+        scored = np.concatenate([s for end, s in calls if end is None])
+        fresh = four_step_bandit(family, n)
+        assert scored.tobytes() == fresh.state(points).tobytes()
+        cold = fresh.sample_means(points, 1000, root.child(2, case))
+        assert warm.tobytes() == cold.tobytes()
 
 
 class RecordingRng:
@@ -611,7 +737,8 @@ def test_level_probabilities_are_the_outcome_probabilities_by_level(family,
     got = np.concatenate(rng.pvals)
     assert got.shape == (5, bandit.denominator + 1)
     for point, row in zip(points, got):
-        probs = bandit.outcome_probabilities(bandit.state(point)).tolist()
+        probs = bandit.outcome_probabilities(
+            probabilities(bandit.state(point))).tolist()
         total = math.fsum(probs)
         expect = np.array([math.fsum(p for p, l in zip(
             probs, bandit.numerators.tolist()) if l == level) / total
@@ -656,7 +783,7 @@ def test_single_shot_levels_follow_the_born_distribution(family):
     bandit = prefix_bandit(family, 12)
     reps = 20_000
     params = SeededRng(420).random(bandit.dimension)
-    probs = bandit.outcome_probabilities(bandit.state(params))
+    probs = bandit.outcome_probabilities(probabilities(bandit.state(params)))
     levels = np.bincount(bandit.numerators, weights=probs,
                          minlength=bandit.denominator + 1) / probs.sum()
     means = bandit.sample_means(np.tile(params, (reps, 1)), 1, SeededRng(421))
