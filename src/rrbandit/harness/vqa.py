@@ -116,9 +116,9 @@ def run_single(experiment, optimizer, size, seed, threshold, config, spec):
     instance, child 1 draws the start point, child 2 feeds the optimizer.
     The bandit is wrapped in a pull counter so the reported sample count
     is the bandit-interface truth rather than optimizer bookkeeping.
-    oracle_evals counts crossing checks; a check at the point checked last
-    (a rejected step leaves the incumbent unchanged) and final_cost reuse
-    that point's exact mean instead of simulating it again.
+    oracle_evals counts crossing checks. A check at the point checked last
+    (a rejected step leaves the incumbent unchanged) and final_cost read
+    the exact mean that the bandit holds for that point.
     """
     run_rng = SeededRng(seed, key=(size,))
     bandit, label = build_instance(experiment, size, spec, run_rng.child(0))
@@ -127,18 +127,10 @@ def run_single(experiment, optimizer, size, seed, threshold, config, spec):
     counting = CountingBandit(bandit)
     start = run_rng.child(1).random(bandit.dimension)
     oracle = {"evals": 0}
-    last = {}  # the last point's exact mean, by the point's bytes
-
-    def exact_mean(point):
-        key = np.asarray(point, dtype=np.float64).tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = bandit.mean(point)
-        return last[key]
 
     def crossed(point):
         oracle["evals"] += 1
-        return exact_mean(point) <= threshold
+        return bandit.mean(point) <= threshold
 
     if crossed(start):
         point = start
@@ -157,7 +149,7 @@ def run_single(experiment, optimizer, size, seed, threshold, config, spec):
         "n_total": counting.count if did_cross else math.inf,
         "samples_spent": counting.count,
         "oracle_evals": oracle["evals"],
-        "final_cost": float(exact_mean(point)),
+        "final_cost": float(bandit.mean(point)),
     }
 
 

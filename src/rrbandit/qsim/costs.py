@@ -26,7 +26,7 @@ from .graphs import cut_values
 # no circuit calls apply_hadamard or apply_cz; perfbench patches them here
 from .statevector import (apply_cz, apply_hadamard, apply_phase,  # noqa: F401
                           apply_rotation, batch_size, probabilities,
-                          zero_state)
+                          y_product_state)
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,11 +46,34 @@ def cz_chain_signs(n):
     return 1.0 - 2.0 * (_ones(idx & (idx >> 1), n - 1) & 1)
 
 
+def exact_sum(values):
+    """math.fsum of a 1-d float64 array of 1 to 2^26 - 1 finite,
+    non-negative values: their exact sum, correctly rounded.
+
+    Each value is m * 2^(e - 53) with an integer m below 2^53, split into
+    a high part below 2^27 and a low part below 2^26. bincount adds each
+    part per exponent e as float64 sums of integers below 2^53, which are
+    exact in any order. The per-exponent sums are then combined as Python
+    ints and divided once by a power of two, which CPython rounds
+    correctly.
+    """
+    mantissa, exponent = np.frexp(values)
+    whole = mantissa * 2.0 ** 53
+    high = np.floor(whole * 2.0 ** -26)
+    low = whole - high * 2.0 ** 26
+    lowest = int(exponent.min())
+    exponent -= lowest
+    total = 0
+    for h, l in zip(reversed(np.bincount(exponent, weights=high).tolist()),
+                    reversed(np.bincount(exponent, weights=low).tolist())):
+        total = 2 * total + (int(h) << 26) + int(l)
+    shift = lowest - 53
+    return total / (1 << -shift) if shift < 0 else float(total << shift)
+
+
 def expected_reward(probs, rewards):
     """Exactly-rounded expectation sum(p_z r_z) / sum(p_z)."""
-    num = math.fsum((probs * rewards).tolist())
-    den = math.fsum(probs.tolist())
-    return num / den
+    return exact_sum(probs * rewards) / exact_sum(probs)
 
 
 def uniform_amplitude(n):
@@ -94,23 +117,26 @@ class _ShotBandit(Bandit):
 
     A bandit holds what it last simulated, so a point is not simulated
     again while it is held:
-    - the probabilities (of the states state() returns) of the last batch
-      that sample_means simulated, and of the last point that mean()
-      simulated, each keyed by its point's float64 bytes (which tell 0.0
-      from -0.0). mean() and a sample_means call whose every point is
-      held read them instead of calling state(). A line search's round is
-      one batch on a narrow circuit, so the crossing check of its minimum
-      and the start's first draw, which follows its crossing check, find
-      their points held;
+    - the probabilities (of the states state() returns) of the
+      lowest-scoring point of the last sample_means call (the first
+      minimum, as np.argmin picks it: the arm rr.run_round reports), and
+      of the last point that mean() was asked for, with its mean; each
+      is keyed by its point's float64 bytes (which tell 0.0 from -0.0).
+      mean() and a sample_means call whose every point is held read them
+      instead of calling state(), and mean() at its last point returns
+      its last value. So the crossing check of a line minimum found in
+      one round, a repeated check of an unchanged incumbent, and the
+      start's first draw, which follows its crossing check, find their
+      points held;
     - the step states of the last point whose shared prefix sample_means
       simulated, each keyed by the bytes of the parameters its step
       reads. A prefix continues from the deepest held step whose
       parameters, and every earlier step's, match; rr_powell's coordinate
       lines share their base point's early steps.
-    Memory is at most one batch of probabilities, one point's
-    probabilities, and steps - 1 states of one point. Held values are
-    the bits the simulation gives, never written to, so every result is
-    bitwise what simulating again would give.
+    Memory is at most two points' probabilities and steps - 1 states of
+    one point. Held values are the bits the simulation gives, never
+    written to, so every result is bitwise what simulating again would
+    give.
     """
 
     rewards = None  # float64 array over basis states
@@ -120,8 +146,8 @@ class _ShotBandit(Bandit):
     steps = 0
     step_of = None  # int64 array over parameters
     # what was last simulated; rebound by each simulation, never mutated
-    _batch_probs = {}  # point bytes -> probabilities
-    _mean_key, _mean_probs = None, None
+    _low_key, _low_probs = None, None  # sample_means' lowest-scoring point
+    _mean_key, _mean_probs, _mean_value = None, None, None
     _step_states = ()  # ((step's parameter bytes, state after it), ...)
 
     def state(self, params, stop=None, prefix=None):
@@ -140,22 +166,13 @@ class _ShotBandit(Bandit):
             raise ValueError("parameters must be finite")
         return params
 
-    def _held(self, key):
-        """The held probabilities of the point with these bytes, or None."""
-        if key == self._mean_key:
-            return self._mean_probs
-        return self._batch_probs.get(key)
-
     def _held_rows(self, keys):
         """The held probabilities of every point, or None if one is not
         held."""
-        rows = []
-        for key in keys:
-            row = self._held(key)
-            if row is None:
-                return None
-            rows.append(row)
-        return rows
+        held = {self._low_key: self._low_probs,
+                self._mean_key: self._mean_probs}
+        rows = [held.get(key) for key in keys]
+        return None if any(row is None for row in rows) else rows
 
     def mean(self, params):
         """Exact expected reward at one point, over the basis states that
@@ -164,11 +181,15 @@ class _ShotBandit(Bandit):
         twice in the full one, and the factor of 2 cancels exactly."""
         point = self._params(params, (self.dimension,))
         key = point.tobytes()
-        probs = self._held(key)
-        if probs is None:
+        if key == self._mean_key:
+            return self._mean_value
+        if key == self._low_key:
+            probs = self._low_probs
+        else:
             probs = probabilities(self.state(point))
-            self._mean_key, self._mean_probs = key, probs
-        return expected_reward(probs, self.rewards[:probs.size])
+        value = expected_reward(probs, self.rewards[:probs.size])
+        self._mean_key, self._mean_probs, self._mean_value = key, probs, value
+        return value
 
     # perfbench patches this name in the class's own dict
     sample_mean = Bandit.sample_mean
@@ -179,7 +200,8 @@ class _ShotBandit(Bandit):
         Only the work in which the points differ is done per point:
         - Held points. When every point is held (class docstring), their
           probabilities are read, not simulated; when every point is the
-          same, it is simulated once.
+          same, it is simulated once. The lowest-scoring point's
+          probabilities are then held in place of the last call's.
         - Shared prefix. The steps before the first one whose parameters
           differ across the points (compared bit for bit) are simulated
           once, on one state (continuing from held step states). The
@@ -203,32 +225,38 @@ class _ShotBandit(Bandit):
         if n < 1:
             raise ValueError("need at least one shot")
         params = self._params(points, (len(points), self.dimension))
+        keys = [point.tobytes() for point in params]
         levels = self.denominator + 1
         scale = self.denominator * n
         out = np.empty(len(params), dtype=np.float64)
-        for lo, probs in self._batch_probabilities(params):
-            probs = self.outcome_probabilities(probs)
-            k = len(probs)
+        low = None  # (index, probabilities) of the first minimum so far
+        for lo, probs in self._batch_probabilities(params, keys):
+            full = self.outcome_probabilities(probs)
+            k = len(full)
             index = self.numerators + levels * np.arange(k)[:, None]
-            mass = np.bincount(index.ravel(), weights=probs.ravel(),
+            mass = np.bincount(index.ravel(), weights=full.ravel(),
                                minlength=k * levels).reshape(k, levels)
             total = np.array([math.fsum(row) for row in mass.tolist()])
             counts = rng.multinomial(n, mass / total[:, None])
             out[lo:lo + k] = (counts @ np.arange(levels)) / scale
+            # the first minimum, as np.argmin(out) picks it
+            j = lo + int(np.argmin(out[lo:lo + k]))
+            if low is None or out[j] < out[low[0]]:
+                low = j, probs[j - lo]
+        if low is not None:
+            # a copy, so that the rest of its batch is not held with it
+            self._low_key, self._low_probs = keys[low[0]], low[1].copy()
         return out
 
-    def _batch_probabilities(self, params):
+    def _batch_probabilities(self, params, keys):
         """Yield (index of the first point, probabilities(states)) for
-        params in batches of up to batch points: read when every point is
-        held, otherwise simulated from the shared prefix, each batch then
-        held."""
-        keys = [point.tobytes() for point in params]
+        params, whose bytes are keys, in batches of up to batch points:
+        read when every point is held, otherwise simulated from the shared
+        prefix."""
         held = self._held_rows(keys)
         if held is None and keys.count(keys[0]) == len(keys):
             # one point, however many times: simulate it once
-            probs = probabilities(self.state(params[0]))
-            self._batch_probs = {keys[0]: probs}
-            held = [probs] * len(keys)
+            held = [probabilities(self.state(params[0]))] * len(keys)
         if held is not None:
             for lo in range(0, len(held), self.batch):
                 yield lo, np.array(held[lo:lo + self.batch])
@@ -237,10 +265,8 @@ class _ShotBandit(Bandit):
         start = int(self.step_of[np.any(bits != bits[0], axis=0)].min())
         prefix = (start, self._prefix(params[0], start)) if start else None
         for lo in range(0, len(params), self.batch):
-            probs = probabilities(
+            yield lo, probabilities(
                 self.state(params[lo:lo + self.batch], prefix=prefix))
-            self._batch_probs = dict(zip(keys[lo:lo + len(probs)], probs))
-            yield lo, probs
 
     def _prefix(self, point, stop):
         """The state after the first stop steps at one point, continued
@@ -271,7 +297,9 @@ class PqcBandit(_ShotBandit):
     Both gates are real, so the state is simulated as float64. A step is
     one layer: its rotations are one apply_rotation call with per-qubit
     angles, and its CZ chain is one multiply by its +-1 diagonal, built
-    once.
+    once. The first layer's rotations act on |0...0>, so their state is
+    built as a product of per-qubit (cos, sin) pairs (y_product_state),
+    whose probabilities are bitwise the rotation kernel's.
     """
 
     def __init__(self, n, layers=None):
@@ -291,12 +319,13 @@ class PqcBandit(_ShotBandit):
         self.step_of = np.arange(self.dimension, dtype=np.int64) // self.n
 
     def state(self, params, stop=None, prefix=None):
+        angles = TWO_PI * params
         if prefix is None:
-            start = 0
-            state = zero_state(self.n, params.shape[:-1], dtype=np.float64)
+            start = 1
+            state = y_product_state(angles[..., :self.n])
+            state *= self.cz_signs
         else:
             start, state = _copies(prefix, params.shape[:-1])
-        angles = TWO_PI * params
         qubits = range(self.n)
         for layer in range(start, self.steps if stop is None else stop):
             k = layer * self.n

@@ -58,10 +58,13 @@ same. The tests check both at n = 2..14.
 
 Values shared by many amplitudes are computed once. A rotation on a
 sequence of qubits builds its matrix entries once per call, for one angle
-or for one angle per qubit, and applies them qubit by qubit. A diagonal
-phase is given as levels and a per-basis-state index into them, so exp
-runs once per level and not once per amplitude; exp of the same input
-gives the same bits, so the result is identical to taking exp per
+or for one angle per qubit, and applies them qubit by qubit. The entries
+of all its angles are built in one pass: math.cos and math.sin mapped
+over the half angles into two arrays, written into one (4, angles) array
+of the state's dtype whose other real and imaginary parts are +0.0. A
+diagonal phase is given as levels and a per-basis-state index into them,
+so exp runs once per level and not once per amplitude; exp of the same
+input gives the same bits, so the result is identical to taking exp per
 amplitude. Keep each product's operand order (m00 * v0,
 coef * levels): numpy may evaluate complex a * b and b * a with fused
 multiply-adds that round differently, which would move amplitudes by an
@@ -149,14 +152,13 @@ def _apply_mirrored(state, m00, m01):
     return state
 
 
-def _rotation_entries(axis, angle):
-    c = math.cos(0.5 * angle)
-    s = math.sin(0.5 * angle)
-    if axis == "x":
-        return (complex(c), complex(0.0, -s), complex(0.0, -s), complex(c))
-    if axis == "y":
-        return (c, -s, s, c)
-    return (complex(c, -s), 0j, 0j, complex(c, s))
+def _half_angle_trig(angles):
+    """math.cos and math.sin of 0.5 * angle for each float in angles, as two
+    float64 arrays. Never np.cos: its SIMD paths may differ by an ulp from
+    one CPU to another."""
+    halves = [0.5 * a for a in angles]
+    return (np.fromiter(map(math.cos, halves), np.float64, len(halves)),
+            np.fromiter(map(math.sin, halves), np.float64, len(halves)))
 
 
 def _sequence_entries(state, axis, angle, count):
@@ -165,7 +167,10 @@ def _sequence_entries(state, axis, angle, count):
     angle is one angle, one per state of a batch, or one per state and
     qubit, of shape state.shape[:-1] + (count,). Returns count arrays of
     shape (4, k, 1, 1), k = 1 for one angle; all are the same array unless
-    the angles are per qubit.
+    the angles are per qubit. The entries of an angle a, from
+    c = cos(a / 2) and s = sin(a / 2), are (c, -s, s, c) for y,
+    (c, -is, -is, c) for x and (c - is, 0, 0, c + is) for z, with +0.0
+    for every other real or imaginary part.
     """
     if np.ndim(angle) != state.ndim:
         angles, sets = _angles(state, angle), 1
@@ -175,10 +180,52 @@ def _sequence_entries(state, axis, angle, count):
             raise ValueError(
                 "per-qubit angles need shape state.shape[:-1] + (qubits,)")
         angles, sets = angle.reshape(-1, count).T.ravel().tolist(), count
-    m = np.array([_rotation_entries(axis, a) for a in angles],
-                 dtype=state.dtype)
-    entries = m.T.reshape(4, sets, -1, 1, 1).transpose(1, 0, 2, 3, 4)
+    c, s = _half_angle_trig(angles)
+    m = np.zeros((4, len(angles)), dtype=state.dtype)
+    if axis == "y":
+        m[0] = m[3] = c
+        m[1] = -s
+        m[2] = s
+    else:
+        m.real[0] = m.real[3] = c
+        if axis == "x":
+            m.imag[1] = m.imag[2] = -s
+        else:
+            m.imag[0] = -s
+            m.imag[3] = s
+    entries = m.reshape(4, sets, -1, 1, 1).transpose(1, 0, 2, 3, 4)
     return list(entries) if sets == count else [entries[0]] * count
+
+
+def y_product_state(angles):
+    """A y-rotation by angles[..., q] on each qubit q of |0...0>, as a
+    float64 state of shape angles.shape[:-1] + (2^n,).
+
+    Amplitude z is the product f_(n-1) * (... * (f_1 * f_0)), with
+    f_q = cos(angle_q / 2) where bit q of z is 0 and sin(angle_q / 2)
+    where it is 1: the products, in the order in which
+    apply_rotation(zero_state(n, dtype=np.float64), range(n), "y", angles)
+    forms them. That call also adds a product with a zero amplitude at
+    each step, which can flip the sign of a zero amplitude but leaves
+    every other one as it is. So the states are equal under
+    np.array_equal (not always bytewise), and their probabilities are
+    bitwise equal.
+    """
+    angles = np.asarray(angles, dtype=np.float64)
+    n = angles.shape[-1]
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
+    per_qubit = angles.reshape(-1, n).T  # (n, states)
+    c, s = (f.reshape(n, -1, 1)
+            for f in _half_angle_trig(per_qubit.ravel().tolist()))
+    state = np.empty((per_qubit.shape[1], 1 << n))
+    state[:, :1] = c[0]
+    state[:, 1:2] = s[0]
+    for q in range(1, n):
+        low, high = state[:, :1 << q], state[:, 1 << q:2 << q]
+        np.multiply(s[q], low, out=high)
+        np.multiply(c[q], low, out=low)
+    return state.reshape(angles.shape[:-1] + (1 << n,))
 
 
 def apply_rotation(state, qubits, axis, angle, half=False):

@@ -51,6 +51,11 @@ RUNS = {
     "pqc-spsa-wide": ("vqa", "pqc", {
         "run.optimizer": "spsa", "run.sizes": "12", "run.seeds": "0..1",
         "optimizer.max_iters": "3"}),
+    # one layer: the state scored is the product-state first layer and
+    # its CZ chain, with no rotation pass after it
+    "pqc-spsa-l1": ("vqa", "pqc", {
+        "run.optimizer": "spsa", "run.sizes": "6,12", "run.seeds": "0..1",
+        "instance.layers": "1", "optimizer.max_iters": "3"}),
 }
 
 GOLDEN = {
@@ -69,6 +74,12 @@ GOLDEN = {
             "c2ed84212b54fb270c368cab281ce73fb99cf54a6d1220e1cbfc0913013c2faf",
         "runs.csv":
             "2edade0eb510db75f7b68063699244bce34b53c8ae295e523b7345b9e1ee6377",
+    },
+    "pqc-spsa-l1": {
+        "aggregate.csv":
+            "be503d8d9113eb990c52b784a6697c853bcd66e81223076d193b6c0fab68e58c",
+        "runs.csv":
+            "b97e587505a9809919b88c37e47b326d97d5a3aef7726f1deaa7ac3198bd7be2",
     },
     "pqc-spsa-wide": {
         "aggregate.csv":

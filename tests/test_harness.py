@@ -21,7 +21,7 @@ from rrbandit.harness.toy import (WEDGE_SLOPE, make_toy_bandit,
 from rrbandit.harness import toy, vqa
 from rrbandit.harness.vqa import midpoint_quantile, optimizer_config
 from rrbandit.lines import DriverConfig, powell_driver
-from rrbandit.qsim import PqcBandit, QaoaBandit, erdos_renyi
+from rrbandit.qsim import PqcBandit, QaoaBandit, costs, erdos_renyi
 from rrbandit.qsim.costs import _ShotBandit
 from rrbandit.rng import SeededRng
 from rrbandit.rr import RRConfig, grid_points
@@ -439,17 +439,19 @@ def test_run_single_budget_integrity():
 
 def test_run_single_simulates_each_incumbent_once(monkeypatch):
     """Crossing checks at an unchanged incumbent and final_cost reuse its
-    exact mean: mean runs once per distinct point, and oracle_evals still
-    counts every check (8 here, as when each check simulated its point).
-    No point's full circuit is simulated twice in the run: the start's
-    first draw and the checks of accepted line minima, arms of the round
-    just run, read what the bandit holds."""
-    simulated, checked, circuits = [], [], []
+    exact mean: oracle_evals counts every check (8 here, as when each
+    check simulated its point), yet each distinct point asked for is
+    simulated once and summed once. No point's full circuit is simulated
+    twice in the run: the start's first draw, the repeated checks and
+    the checks of accepted line minima, arms of the round just run, read
+    what the bandit holds."""
+    asked, checked, circuits, sums = [], [], [], []
     exact_mean = _ShotBandit.mean
     qaoa_state = QaoaBandit.state
+    expected_reward = costs.expected_reward
 
     def recording_mean(self, params):
-        simulated.append(np.asarray(params).tobytes())
+        asked.append(np.asarray(params).tobytes())
         return exact_mean(self, params)
 
     def recording_state(self, params, stop=None, prefix=None):
@@ -457,6 +459,10 @@ def test_run_single_simulates_each_incumbent_once(monkeypatch):
             circuits.extend(point.tobytes()
                             for point in params.reshape(-1, self.dimension))
         return qaoa_state(self, params, stop=stop, prefix=prefix)
+
+    def recording_sum(probs, rewards):
+        sums.append(probs.size)
+        return expected_reward(probs, rewards)
 
     def recording_driver(bandit, start, cfg, rng, stop_condition):
         def stop(point):
@@ -466,16 +472,19 @@ def test_run_single_simulates_each_incumbent_once(monkeypatch):
 
     monkeypatch.setattr(_ShotBandit, "mean", recording_mean)
     monkeypatch.setattr(QaoaBandit, "state", recording_state)
+    monkeypatch.setattr(costs, "expected_reward", recording_sum)
     monkeypatch.setattr(vqa, "powell_driver", recording_driver)
     spec = RunSpec()
     config = optimizer_config(spec, "rr_powell", 300_000)
     row = run_single("qaoa", "rr_powell", 5, 0, 1e-9, config, spec)
     assert row["oracle_evals"] == 1 + len(checked) == 8
-    assert len(set(simulated)) == len(simulated) < row["oracle_evals"]
-    assert set(simulated) == set(checked) | {simulated[0]}
-    assert len(circuits) > len(simulated)
+    assert len(asked) == row["oracle_evals"] + 1  # and final_cost
+    distinct = set(asked)
+    assert distinct == set(checked) | {asked[0]}
+    assert len(sums) == len(distinct) < row["oracle_evals"]
+    assert len(circuits) > len(distinct)
     assert len(set(circuits)) == len(circuits)
-    assert set(simulated) <= set(circuits)
+    assert distinct <= set(circuits)
 
 
 def test_run_vqa_schema_and_aggregate_consistency(tmp_path):

@@ -17,8 +17,10 @@ from rrbandit.qsim import (Graph, MAX_QUBITS, PqcBandit, QaoaBandit,
                            cut_values, erdos_renyi, expected_reward,
                            num_qubits, path_graph, probabilities, zero_state)
 from rrbandit.qsim import costs
-from rrbandit.qsim.costs import TWO_PI, cz_chain_signs, uniform_amplitude
-from rrbandit.qsim.statevector import BATCH_BYTES
+from rrbandit.qsim import statevector
+from rrbandit.qsim.costs import (TWO_PI, cz_chain_signs, exact_sum,
+                                 uniform_amplitude)
+from rrbandit.qsim.statevector import BATCH_BYTES, y_product_state
 from rrbandit.rng import SeededRng
 
 
@@ -217,6 +219,59 @@ def test_per_qubit_angles_match_one_call_per_qubit(n):
                 got = apply_rotation(state.copy(), qubits, axis, angles)
                 assert got.dtype == dtype
                 assert got.tobytes() == expect.tobytes()
+
+
+def per_angle_entries(state, axis, angle, count):
+    """The rotation entries as statevector._sequence_entries returns them,
+    built from one tuple of Python numbers per angle."""
+    def entries(a):
+        c, s = math.cos(0.5 * a), math.sin(0.5 * a)
+        if axis == "x":
+            return (complex(c), complex(0.0, -s), complex(0.0, -s),
+                    complex(c))
+        if axis == "y":
+            return (c, -s, s, c)
+        return (complex(c, -s), 0j, 0j, complex(c, s))
+
+    if np.ndim(angle) != state.ndim:
+        angles, sets = np.ravel(angle).tolist(), 1
+    else:
+        angles = np.asarray(angle).reshape(-1, count).T.ravel().tolist()
+        sets = count
+    m = np.array([entries(a) for a in angles], dtype=state.dtype)
+    out = m.T.reshape(4, sets, -1, 1, 1).transpose(1, 0, 2, 3, 4)
+    return list(out) if sets == count else [out[0]] * count
+
+
+def test_rotation_entries_are_the_per_angle_entries():
+    """The entries built in one pass from arrays of cos and sin are
+    bitwise those built one angle at a time, zero parts included: x, y
+    and z axes, real and complex states, one angle, one per state and
+    one per state and qubit, with angles at 0, -0.0 and multiples of
+    pi/2 among random ones."""
+    rng = SeededRng(230)
+    special = [0.0, -0.0, math.pi, -math.pi, 0.5 * math.pi, TWO_PI, 3.0]
+    for n, count in ((1, 1), (3, 3), (5, 2)):
+        for batch in ((), (6,)):
+            shape = batch + (1 << n,)
+            for axis, dtype in (("x", np.complex128), ("y", np.complex128),
+                                ("z", np.complex128), ("y", np.float64)):
+                state = np.zeros(shape, dtype=dtype)
+                per_qubit = rng.uniform(-7.0, 7.0, batch + (count,))
+                per_qubit.flat[:len(special)] = special[:per_qubit.size]
+                angles = [float(rng.uniform(-7.0, 7.0)), -0.0, math.pi,
+                          per_qubit]
+                if batch:
+                    angles.append(np.array(special[:batch[0]]))
+                for angle in angles:
+                    got = statevector._sequence_entries(state, axis, angle,
+                                                        count)
+                    expect = per_angle_entries(state, axis, angle, count)
+                    assert len(got) == len(expect) == count
+                    for g, e in zip(got, expect):
+                        assert g.dtype == e.dtype
+                        assert g.shape == e.shape
+                        assert g.tobytes() == e.tobytes()
 
 
 def mirrored(half):
@@ -481,6 +536,52 @@ def test_real_pqc_state_matches_the_complex_per_gate_circuit(n):
                 == probabilities(expect).tobytes())
 
 
+def per_qubit_pqc_state(bandit, params, stop=None):
+    """PqcBandit's state with its first layer, too, as one y-rotation
+    call on |0...0>."""
+    state = zero_state(bandit.n, params.shape[:-1], dtype=np.float64)
+    angles = TWO_PI * params
+    for layer in range(bandit.layers if stop is None else stop):
+        k = layer * bandit.n
+        apply_rotation(state, range(bandit.n), "y",
+                       angles[..., k:k + bandit.n])
+        state *= bandit.cz_signs
+    return state
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_product_start_is_the_rotation_kernel(n):
+    """The product-state first layer gives the states of the y-rotation
+    kernel on |0...0>, up to the sign of a zero amplitude, and bitwise
+    the same probabilities: 1 to 3 layers, after the first layer and
+    after all, one point and a batch, with 30 % of the parameters at
+    0, 1/4, 1/2, 3/4 or 1, where a cos or sin is 0 or nearly so."""
+    rng = SeededRng(620 + n)
+    special = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    for layers in (1, 2, 3):
+        bandit = PqcBandit(n, layers=layers)
+        for shape in ((bandit.dimension,), (5, bandit.dimension)):
+            points = rng.random(shape)
+            chosen = rng.random(shape) < 0.3
+            points[chosen] = special[rng.integers(0, 5, int(chosen.sum()))]
+            for stop in (1, None):
+                got = bandit.state(points, stop=stop)
+                expect = per_qubit_pqc_state(bandit, points, stop)
+                assert got.dtype == np.float64
+                assert got.shape == expect.shape
+                assert np.array_equal(got, expect)
+                assert (probabilities(got).tobytes()
+                        == probabilities(expect).tobytes())
+
+
+def test_y_product_state_validation():
+    with pytest.raises(ValueError):
+        y_product_state(np.zeros(0))
+    with pytest.raises(ValueError):
+        y_product_state(np.zeros(MAX_QUBITS + 1))
+    assert y_product_state(np.zeros((2, 3, 4))).shape == (2, 3, 16)
+
+
 def test_sample_means_validation():
     bandit = QaoaBandit(complete_graph(3))
     points = np.full((2, bandit.dimension), 0.3)
@@ -491,6 +592,7 @@ def test_sample_means_validation():
         bandit.sample_means(points[0], 10, rng)
     with pytest.raises(ValueError):
         bandit.sample_means(points[:, :3], 10, rng)
+    assert bandit.sample_means(points[:0], 10, rng).shape == (0,)
     counting = CountingBandit(bandit)
     counting.sample_means(points, 10, rng)
     assert counting.count == 20
@@ -557,14 +659,16 @@ def test_sample_means_states_are_the_per_point_states(family, n,
     bitwise state(point), and points that share every step are one point,
     simulated and scored once. Points share 0, 1, ..., all steps; k = 1,
     16 and batch + 5, so a batch boundary is crossed and the prefix is
-    shared across batches. Each step is one gate call, which sees the
-    prefix's steps on one state and every later step on each point's.
-    Each call goes to a fresh bandit, which holds no earlier simulation."""
+    shared across batches. Each step is one call, a gate or the PQC's
+    product-state first layer, which sees the prefix's steps on one state
+    and every later step on each point's. Each call goes to a fresh
+    bandit, which holds no earlier simulation."""
     bandit = prefix_bandit(family, n)
     scored, gate_states = [], []
     monkeypatch.setattr(costs, "probabilities", lambda state: (
         scored.append(state.copy()), probabilities(state))[1])
-    for name in ("apply_phase", "apply_rotation"):
+    # y_product_state takes angles, (k, n) on a batch, as its first argument
+    for name in ("apply_phase", "apply_rotation", "y_product_state"):
         gate = getattr(costs, name)
         monkeypatch.setattr(costs, name, lambda state, *args, gate=gate,
                             **kwargs: (
@@ -614,20 +718,29 @@ def four_step_bandit(family, n):
 @pytest.mark.parametrize("family", ["qaoa", "pqc"])
 @pytest.mark.parametrize("n", [3, 8, 14])
 def test_mean_at_a_held_point_is_the_fresh_mean(family, n, monkeypatch):
-    """mean() at a point of the last batch sample_means simulated, or at
-    the last point mean() simulated, reads the held probabilities instead
-    of calling state(), and returns bitwise what a fresh bandit returns.
-    A point one ulp away, or with -0.0 for 0.0, is not held."""
+    """mean() at the lowest-scoring point of the last sample_means call
+    (the first minimum, as np.argmin picks it), or at the last point
+    mean() asked for, reads the held probabilities instead of calling
+    state(), and returns bitwise what a fresh bandit returns. Every other
+    point of the call, a tied minimum after the first among them, is not
+    held. A point one ulp away, or with -0.0 for 0.0, is not held."""
     bandit = four_step_bandit(family, n)
     calls = recorded_states(monkeypatch, bandit)
     points = SeededRng(500 + n).random((bandit.batch + 5, bandit.dimension))
-    bandit.sample_means(points, 10, SeededRng(501))
-    last = points[(len(points) - 1) // bandit.batch * bandit.batch:]
+    values = bandit.sample_means(points, 10, SeededRng(501))
+    low = int(np.argmin(values))
     calls.clear()
-    for point in last:
-        fresh = four_step_bandit(family, n).mean(point)
-        assert bandit.mean(point).hex() == fresh.hex()
+    fresh = four_step_bandit(family, n).mean(points[low])
+    assert bandit.mean(points[low]).hex() == fresh.hex()
     assert calls == []
+    bandit.sample_means(points, 10, SeededRng(501))
+    others = [j for j in range(len(points)) if j != low]
+    for j in others[:3] + others[3:][-3:]:
+        calls.clear()
+        fresh = four_step_bandit(family, n).mean(points[j])
+        assert bandit.mean(points[j]).hex() == fresh.hex()
+        assert bandit.mean(points[j]).hex() == fresh.hex()
+        assert len(calls) == 1
     point = points[0].copy()
     point[0] = 0.0
     for moved in (0, 1):
@@ -642,27 +755,54 @@ def test_mean_at_a_held_point_is_the_fresh_mean(family, n, monkeypatch):
             assert len(calls) == 1
 
 
+def test_sample_means_holds_the_first_minimum(monkeypatch):
+    """Of tied lowest-scoring points, sample_means holds the first, as
+    np.argmin picks it; the others are simulated again. Here the ties are
+    all-zero points, which score exactly 0, with -0.0 for 0.0 in one
+    parameter, so no two have the same bytes; one lies in a later batch.
+    A call whose only zero point lies in its last batch holds that one."""
+    bandit = PqcBandit(3, layers=2)
+    calls = recorded_states(monkeypatch, bandit)
+    rng = SeededRng(505)
+    points = rng.random((bandit.batch + 5, bandit.dimension))
+    tied = [3, 7, bandit.batch + 2]
+    points[tied] = 0.0
+    points[7, 0] = points[bandit.batch + 2, 1] = -0.0
+    for case in range(2):
+        values = bandit.sample_means(points, 1000, rng.child(case))
+        zeros = np.flatnonzero(values == 0.0).tolist()
+        assert zeros == tied[case * 2:]
+        calls.clear()
+        assert bandit.mean(points[zeros[0]]) == 0.0
+        assert calls == []
+        for j in zeros[1:]:
+            assert bandit.mean(points[j]) == 0.0
+        assert len(calls) == len(zeros) - 1
+        bandit.mean(points[0])  # the last mean() point is held too
+        points[tied[:2]] = rng.child(2).random((2, bandit.dimension))
+
+
 @pytest.mark.parametrize("family", ["qaoa", "pqc"])
 @pytest.mark.parametrize("n", [3, 8, 14])
 def test_draws_at_held_points_are_the_cold_draws(family, n, monkeypatch):
     """A sample_means call whose every point is held draws from the held
     probabilities without calling state(), and draws bitwise what a
-    bandit that holds nothing draws on the same stream: the last batch's
-    points repeated to batch + 5 points, so the read crosses a batch
-    boundary, and the last mean() point alone (the start's first draw)."""
+    bandit that holds nothing draws on the same stream: the last call's
+    lowest-scoring point and the last mean() point, repeated to batch + 5
+    points, so the read crosses a batch boundary, and the last mean()
+    point alone (the start's first draw)."""
     bandit = four_step_bandit(family, n)
     calls = recorded_states(monkeypatch, bandit)
     root = SeededRng(510 + n)
     points = root.child(0).random((bandit.batch + 5, bandit.dimension))
-    bandit.sample_means(points, 10, root.child(1))
-    last = points[(len(points) - 1) // bandit.batch * bandit.batch:]
-    again = np.resize(last, (bandit.batch + 5, bandit.dimension))
+    low = points[np.argmin(bandit.sample_means(points, 10, root.child(1)))]
     start = root.child(2).random(bandit.dimension)
     calls.clear()
-    warm = bandit.sample_means(again, 1000, root.child(3))
-    assert calls == []
     bandit.mean(start)
     assert len(calls) == 1
+    again = np.resize(np.stack([low, start, low]),
+                      (bandit.batch + 5, bandit.dimension))
+    warm = bandit.sample_means(again, 1000, root.child(3))
     warm_start = bandit.sample_mean(start, 1000, root.child(4))
     assert len(calls) == 1
     cold = four_step_bandit(family, n).sample_means(again, 1000,
@@ -806,6 +946,44 @@ def test_expected_reward_uniform_is_exact_mean():
     probs = np.full(8, 0.125)
     rewards = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
     assert expected_reward(probs, rewards) == 0.75
+
+
+def sum_cases():
+    """Arrays whose math.fsum is hard to match: long, zero, subnormal,
+    spread over many binades, or at a rounding tie."""
+    rng = SeededRng(640)
+    for length in (1, 2, 3, 17, 4096, 1 << 20):
+        yield rng.child(length).random(length)
+    yield np.zeros(7)
+    yield np.array([0.0, 0.5, 0.0, 2.0 ** -1074])
+    yield np.full(5, 2.0 ** -1074)
+    yield np.ldexp(rng.child(1).random(300),
+                   rng.child(2).integers(-1074, -1021, 300))
+    yield np.concatenate([rng.child(3).random(50),
+                          np.ldexp(rng.child(4).random(50),
+                                   rng.child(5).integers(-1074, -1000, 50))])
+    yield np.ldexp(rng.child(6).random(5000),
+                   rng.child(7).integers(-1000, 1, 5000))
+    # half-ulp ties: to even below, to even above, and just past a tie
+    yield np.array([1.0, 2.0 ** -53])
+    yield np.array([1.0 + 2.0 ** -52, 2.0 ** -53])
+    yield np.array([2.0 ** -53, 1.0, 2.0 ** -106])
+    yield np.array([2.0 ** -53] * 2 + [1.0 - 2.0 ** -53])
+    yield np.array([3.0, 2.0 ** -52, 2.0 ** -1074])
+    for n in (3, 8, 14):
+        for family in ("qaoa", "pqc"):
+            bandit = circuit_bandit(family, n)
+            probs = probabilities(bandit.state(
+                rng.child(n).random(bandit.dimension)))
+            yield probs
+            yield probs * bandit.rewards[:probs.size]
+
+
+def test_exact_sum_is_math_fsum():
+    for values in sum_cases():
+        got = exact_sum(values)
+        assert type(got) is float
+        assert got == math.fsum(values.tolist())
 
 
 def test_pqc_zero_angles_cost_exactly_zero():
