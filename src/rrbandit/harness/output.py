@@ -10,6 +10,8 @@ import os
 
 
 def fmt_value(value):
+    if type(value) is float:  # the common case first
+        return repr(value)
     if isinstance(value, bool):
         return "1" if value else "0"
     if hasattr(value, "item"):  # numpy scalar; unwrap before the float

@@ -12,8 +12,15 @@ counts scale by max(1, sigma)^2, taken from the bandit's sigma).
 
 Round t draws all of its pulls from one stream, rng.child(t), arm after
 arm in grid order, so the seed fixes every draw.
+
+The rejected arms' neighborhoods share the round's radius and come in
+grid order, so a round merges them in one pass (merged_neighborhoods),
+each exactly when IntervalSet's constructor would, and hands IntervalSet
+a few merged spans instead of one per arm. The excluded set, and every
+bit after it, is the one the per-arm spans give.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
@@ -48,16 +55,23 @@ def grid_points(t, lipschitz):
 
     Spacing is 1/(ceil(L)*2^(t+3)) and the first point sits at half that, so
     every x in [0,1] is within 1/(ceil(L)*2^(t+4)) of some grid point. Points
-    are exact dyadic rationals whenever ceil(L) is a power of two.
+    are exact dyadic rationals whenever ceil(L) is a power of two. The
+    array is built once per (t, ceil(L)) and shared, so it is read-only.
     """
     if int(t) != t or t < 1:
         raise ValueError("round index must be a positive integer")
     if not lipschitz > 0:
         raise ValueError("lipschitz must be positive")
-    ceil_l = math.ceil(lipschitz)
+    return _grid(int(t), math.ceil(lipschitz))
+
+
+@functools.lru_cache(maxsize=32)
+def _grid(t, ceil_l):
     count = ceil_l << (t + 3)
     k = np.arange(1, count + 1, dtype=np.float64)
-    return (2.0 * k - 1.0) / (ceil_l * 2.0 ** (t + 4))
+    points = (2.0 * k - 1.0) / (ceil_l * 2.0 ** (t + 4))
+    points.flags.writeable = False
+    return points
 
 
 def samples_per_arm(t, delta, n_arms, sigma=1.0):
@@ -135,12 +149,34 @@ class RRState:
 
 def active_mask(surviving, points):
     """Boolean mask of grid points inside the surviving region (closed, with tolerance)."""
-    mask = np.zeros(points.shape[0], dtype=bool)
+    edges = []
     for a, b in surviving.spans:
-        lo = np.searchsorted(points, a - EPSILON)
-        hi = np.searchsorted(points, b + EPSILON)
-        mask[lo:hi] = True
+        edges.append(a - EPSILON)
+        edges.append(b + EPSILON)
+    bounds = points.searchsorted(edges).tolist()
+    mask = np.zeros(points.shape[0], dtype=bool)
+    for i in range(0, len(bounds), 2):
+        mask[bounds[i]:bounds[i + 1]] = True
     return mask
+
+
+def merged_neighborhoods(centers, radius):
+    """IntervalSet of the closed radius-neighborhoods of sorted centers.
+
+    Equal to IntervalSet([(h - radius, h + radius) for h in centers]) span
+    for span: with the centers ascending, the right ends never decrease,
+    so the constructor's running right end is the previous neighborhood's,
+    and a neighborhood starts a new span exactly when its left end lies
+    more than EPSILON beyond that.
+    """
+    spans = []
+    for h in centers.tolist():
+        a = h - radius
+        if spans and a <= spans[-1][1] + EPSILON:
+            spans[-1][1] = h + radius
+        else:
+            spans.append([a, h + radius])
+    return IntervalSet(spans)
 
 
 def run_round(state, bandit, cfg, rng, budget=None):
@@ -153,6 +189,10 @@ def run_round(state, bandit, cfg, rng, budget=None):
     them all; how the bandit batches the arms never changes a draw. If the
     round's total pull count would exceed the remaining budget, the state
     is returned unchanged except for the budget_exhausted flag.
+
+    The excluded set comes from merged_neighborhoods: the rejected arms'
+    neighborhoods merged in grid order, bitwise the IntervalSet of the
+    per-arm spans, so no output bit depends on the merge.
     """
     t = state.round + 1
     points = grid_points(t, cfg.lipschitz)
@@ -174,8 +214,7 @@ def run_round(state, bandit, cfg, rng, budget=None):
 
     radius = ci_half_width(t)
     reject = values - values[best_j] > REJECT_FACTOR * radius
-    excluded = IntervalSet(
-        [(h - radius, h + radius) for h in locations[reject]])
+    excluded = merged_neighborhoods(locations[reject], radius)
     surviving = state.surviving.subtract(excluded)
     total = state.total_samples + cost
     record = RoundRecord(t, int(idx.size), n_t, locations, values, best,

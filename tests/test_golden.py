@@ -20,6 +20,13 @@ from rrbandit.harness import RunSpec, run_bounds, run_toy, run_vqa
 # name -> (runner, experiment, {section.key: value})
 RUNS = {
     "toy-rr": ("toy", None, {"run.seeds": "0..4"}),
+    # L = 1: neighboring arms' neighborhoods touch exactly, so each merge
+    # of the excluded set is decided at the EPSILON edge; L = 3: the grid
+    # is not dyadic and the neighborhoods overlap
+    "toy-rr-l1": ("toy", None, {"run.seeds": "0..4",
+                                "optimizer.lipschitz": "1"}),
+    "toy-rr-l3": ("toy", None, {"run.seeds": "0..4",
+                                "optimizer.lipschitz": "3"}),
     "qaoa-rr_powell": ("vqa", "qaoa", {
         "run.optimizer": "rr_powell", "run.sizes": "5,8",
         "run.seeds": "0..1", "run.budget": "300000"}),
@@ -122,6 +129,18 @@ GOLDEN = {
             "f33135fc0d4f3432fec30890fe94dcc9111b907810e41025008406b09488ad52",
         "trace.csv":
             "13a34bc68939936b308f163f6484a31f0ca0f8d0eebe6c0598334fd2e4d31d42",
+    },
+    "toy-rr-l1": {
+        "runs.csv":
+            "72e54ac2b1021f1b80673ed321b2dd14c7d95c4a994394d70c126ff8ea2a0876",
+        "trace.csv":
+            "6bfd86577c36193025791e353df76d2b9578b7154f906a08e80f3195ce731a76",
+    },
+    "toy-rr-l3": {
+        "runs.csv":
+            "5e344a2dd9f1d8f41ed519a1857bfed377cf18cad1db57007c94fabf0f25a382",
+        "trace.csv":
+            "77b7084ad483563688d6bac1e14af216f031fa340d15dc87e5e78e57f91190de",
     },
     "toy-spsa": {
         "runs.csv":

@@ -137,6 +137,26 @@ def test_fmt_value():
     assert fmt_value("ok") == "ok"
 
 
+def _isinstance_fmt_value(value):
+    # fmt_value before its float fast path
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if hasattr(value, "item"):
+        return _isinstance_fmt_value(value.item())
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def test_fmt_value_fast_path_renders_as_before():
+    values = [0.1, -0.0, 1e-300, 2.0 ** -1074, math.inf, -math.inf,
+              np.float64(0.1), np.float64(math.inf), np.float32(0.1),
+              np.int64(-3), np.bool_(True), True, False, 0, 12, -7,
+              2 ** 70, "ok", "", "0.1"]
+    for value in values:
+        assert fmt_value(value) == _isinstance_fmt_value(value), value
+
+
 def test_write_csv_creates_directories(tmp_path):
     path = tmp_path / "deep" / "dir" / "out.csv"
     write_csv(str(path), ["a", "b"], [{"a": 1, "b": 0.5}])
@@ -271,6 +291,27 @@ def test_tabulated_toy_objective_is_bitwise_the_formula():
         assert toy_objective(batch).tobytes() == expect.tobytes()
         # SPSA's (k, 1) points of the 1-d cube
         assert toy_objective(batch[:, None]).tobytes() == expect.tobytes()
+
+
+def _clip_toy_objective(x):
+    """toy_objective with np.clip for the cell clamp, as it was written."""
+    x = np.asarray(x, dtype=np.float64)
+    cell = np.clip(np.floor(toy.N_CELLS * x + 0.5), 1, toy.N_CELLS)
+    wedge = toy._WEDGE_BASE + WEDGE_SLOPE * np.abs(x - toy.X_STAR)
+    return np.minimum(toy._STAIRS[cell.astype(np.intp) - 1], wedge)
+
+
+def test_toy_objective_is_bitwise_the_clip_form():
+    edges = (np.arange(toy.N_CELLS + 1) - 0.5) / toy.N_CELLS
+    xs = np.concatenate([
+        [0.0, 1.0, toy.X_STAR], edges,
+        np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        SeededRng(9).random(10_000)])
+    xs = xs[(xs >= 0.0) & (xs <= 1.0)]
+    assert toy_objective(xs).tobytes() == _clip_toy_objective(xs).tobytes()
+    for x in xs[:100].tolist():
+        assert (toy_objective(x).tobytes()
+                == _clip_toy_objective(x).tobytes())
 
 
 def test_run_toy_rr_writes_expected_schema(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from rrbandit import rr
 from rrbandit.bandits import GaussianBandit
-from rrbandit.intervals import IntervalSet
+from rrbandit.intervals import EPSILON, IntervalSet
 from rrbandit.lines import LinearSlice, SliceBandit
 from rrbandit.qsim import PqcBandit
 from rrbandit.rng import SeededRng
@@ -51,6 +51,98 @@ def test_grid_rejects_bad_arguments():
         rr.grid_points(0, 1.0)
     with pytest.raises(ValueError):
         rr.grid_points(1, 0.0)
+
+
+@pytest.mark.parametrize("lips", [1.0, 2.0, 2.2, 3.0])
+def test_cached_grid_is_bitwise_the_formula_and_read_only(lips):
+    ceil_l = math.ceil(lips)
+    for t in range(1, 9):
+        k = np.arange(1, (ceil_l << (t + 3)) + 1, dtype=np.float64)
+        expect = (2.0 * k - 1.0) / (ceil_l * 2.0 ** (t + 4))
+        pts = rr.grid_points(t, lips)
+        assert pts.dtype == np.float64
+        assert pts.tobytes() == expect.tobytes()
+        assert rr.grid_points(t, lips) is pts
+        with pytest.raises(ValueError):
+            pts[0] = 0.5
+
+
+# ----------------------------------------------- exclusion and masks
+
+def _per_arm_excluded(centers, radius):
+    """The excluded set as rounds built it before the grid-order merge."""
+    return IntervalSet([(h - radius, h + radius) for h in centers])
+
+
+def _per_span_mask(surviving, points):
+    """active_mask as two np.searchsorted calls per surviving span."""
+    mask = np.zeros(points.shape[0], dtype=bool)
+    for a, b in surviving.spans:
+        lo = np.searchsorted(points, a - EPSILON)
+        hi = np.searchsorted(points, b + EPSILON)
+        mask[lo:hi] = True
+    return mask
+
+
+@pytest.mark.parametrize("lips", [1.0, 2.0, 2.2, 3.0])
+def test_merged_neighborhoods_are_the_per_arm_spans(lips):
+    """Spans compared as tuples with ==, not IntervalSet.__eq__, whose
+    tolerance would hide a one-ulp difference."""
+    gen = np.random.default_rng(7)
+    for t in range(1, 9):
+        points = rr.grid_points(t, lips)
+        radius = rr.ci_half_width(t)
+        masks = [np.zeros(points.size, bool), np.ones(points.size, bool)]
+        masks += [gen.random(points.size) < p for p in (0.05, 0.3, 0.7, 0.95)]
+        for reject in masks:
+            centers = points[reject]
+            got = rr.merged_neighborhoods(centers, radius)
+            assert got.spans == _per_arm_excluded(centers, radius).spans
+
+
+def test_merged_neighborhoods_split_exactly_past_epsilon():
+    """Gaps of EPSILON - 1 ulp, EPSILON and EPSILON + 1 ulp between two
+    neighborhoods: they merge unless the left end lies beyond the previous
+    right end plus EPSILON, as in IntervalSet's constructor."""
+    radius = rr.ci_half_width(3)
+    left = 0.40625
+    edge = (left + radius) + EPSILON
+    outcomes = []
+    for target in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+        # the center whose left end rounds to the target
+        right = target + radius
+        while right - radius > target:
+            right = np.nextafter(right, 0.0)
+        while right - radius < target:
+            right = np.nextafter(right, 1.0)
+        assert right - radius == target
+        centers = np.array([0.125, left, right, 0.875])
+        got = rr.merged_neighborhoods(centers, radius)
+        assert got.spans == _per_arm_excluded(centers, radius).spans
+        outcomes.append(len(got.spans))
+    assert outcomes == [3, 3, 4]
+
+
+@pytest.mark.parametrize("lips", [1.0, 2.0, 2.2, 3.0])
+def test_active_mask_is_the_per_span_search(lips):
+    gen = np.random.default_rng(11)
+    for t in range(1, 9):
+        points = rr.grid_points(t, lips)
+        radius = rr.ci_half_width(t)
+        cases = [IntervalSet(), IntervalSet.unit()]
+        for p in (0.1, 0.5, 0.9):
+            excluded = rr.merged_neighborhoods(
+                points[gen.random(points.size) < p], radius)
+            cases.append(IntervalSet.unit().subtract(excluded))
+        # span edges at a grid point +- EPSILON, and one ulp either side
+        x = float(points[points.size // 3])
+        for edge in (x - EPSILON, x + EPSILON):
+            for e in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                cases.append(IntervalSet([(0.0, float(e))]))
+                cases.append(IntervalSet([(float(e), 1.0)]))
+        for surviving in cases:
+            got = rr.active_mask(surviving, points)
+            assert got.tobytes() == _per_span_mask(surviving, points).tobytes()
 
 
 # ------------------------------------------------------- sample counts
