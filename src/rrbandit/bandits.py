@@ -8,8 +8,9 @@ import numpy as np
 class Bandit:
     """Base reward source on [0,1]^d; smaller mean is better.
 
-    mean(x) is the exact-mean oracle and may be unavailable for some
-    sources. sample_means(points, n, rng) is a source's one draw: it pulls
+    mean(x) is the exact-mean oracle, outside the sample budget. Only the
+    circuit bandits provide it, and vqa.run_single calls it on the circuit
+    itself. sample_means(points, n, rng) is a source's one draw: it pulls
     each of the k points, a float64 array of shape (k,) or (k, d), n times
     from the one stream rng in point order and returns the k averages in a
     float64 array. Every pull of a point shares it, so sources draw each
@@ -37,7 +38,7 @@ class Bandit:
 class GaussianBandit(Bandit):
     """Deterministic mean function plus iid Gaussian observation noise.
 
-    With sigma=0 the bandit is an exact oracle and consumes no randomness.
+    With sigma=0 sample_means returns the exact means and draws nothing.
     The n-pull empirical mean is drawn in one shot as N(mean, sigma^2/n),
     which is the exact distribution of the average, so large pull counts
     cost one rng call. Budget accounting still counts n pulls per call.
@@ -52,13 +53,6 @@ class GaussianBandit(Bandit):
         self._mean_fn = mean_fn
         self.sigma = float(sigma)
 
-    def _means(self, points):
-        means = self._mean_fn(np.asarray(points, dtype=np.float64))
-        return np.asarray(means, dtype=np.float64).reshape(len(points))
-
-    def mean(self, x):
-        return float(self._means([x])[0])
-
     # perfbench patches this name in the class's own dict
     sample_mean = Bandit.sample_mean
 
@@ -66,7 +60,8 @@ class GaussianBandit(Bandit):
         n = int(n)
         if n < 1:
             raise ValueError("need at least one pull")
-        means = self._means(points)
+        means = self._mean_fn(np.asarray(points, dtype=np.float64))
+        means = np.asarray(means, dtype=np.float64).reshape(len(points))
         if self.sigma == 0.0:
             return means
         z = rng.standard_normal(means.size)
@@ -76,16 +71,13 @@ class GaussianBandit(Bandit):
 class CountingBandit(Bandit):
     """Wrapper that ledgers every pull going through the bandit interface.
 
-    Oracle mean() calls are not counted; they are outside the sample budget.
+    It has no oracle: mean() raises NotImplementedError, as on Bandit.
     """
 
     def __init__(self, inner):
         self.inner = inner
         self.sigma = inner.sigma
         self.count = 0
-
-    def mean(self, x):
-        return self.inner.mean(x)
 
     def sample_mean(self, x, n, rng):
         self.count += int(n)

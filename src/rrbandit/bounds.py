@@ -54,13 +54,6 @@ class BoundInstance:
             raise ValueError(
                 f"slope {max_slope} exceeds declared lipschitz {self.lipschitz}")
 
-    @property
-    def x_star(self):
-        return self.xs[int(np.argmin(self.vs))]
-
-    def value(self, x):
-        return np.interp(x, self.xs, self.vs)
-
     def segments(self):
         return zip(zip(self.xs, self.vs), zip(self.xs[1:], self.vs[1:]))
 
@@ -189,37 +182,6 @@ def zooming_fit(inst, radii):
             "need at least 3 distinct radii with non-empty level sets")
     beta, intercept = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
     return float(beta), float(math.exp(intercept))
-
-
-def random_unimodal(rng, max_side_pieces=3, slope_range=(0.25, 4.0),
-                    margin=0.0625):
-    """Random unimodal piecewise-linear instance with an interior minimizer.
-
-    Values decrease to zero at x_star then increase, with segment slopes
-    drawn uniformly from slope_range, so the instance is slope_range[1]
-    Lipschitz and value-accuracy at the optimum implies location-accuracy.
-    """
-    lo, hi = slope_range
-    if not 0 < lo <= hi:
-        raise ValueError("slope_range must be positive and ordered")
-    x_star = float(rng.uniform(margin, 1.0 - margin))
-    xs = [x_star]
-    vs = [0.0]
-    # walk outward to each domain edge, accumulating value
-    left_cuts = np.sort(rng.uniform(0.0, x_star, size=int(rng.integers(0, max_side_pieces))))
-    v = 0.0
-    for x0, x1 in zip([x_star] + list(left_cuts[::-1]),
-                      list(left_cuts[::-1]) + [0.0]):
-        v += float(rng.uniform(lo, hi)) * (x0 - x1)
-        xs.insert(0, x1)
-        vs.insert(0, v)
-    right_cuts = np.sort(rng.uniform(x_star, 1.0, size=int(rng.integers(0, max_side_pieces))))
-    v = 0.0
-    for x0, x1 in zip([x_star] + list(right_cuts), list(right_cuts) + [1.0]):
-        v += float(rng.uniform(lo, hi)) * (x1 - x0)
-        xs.append(x1)
-        vs.append(v)
-    return BoundInstance(tuple(xs), tuple(vs))
 
 
 def read_instance(path, lipschitz=None):

@@ -145,8 +145,14 @@ def run_toy(spec):
     bandit = checked("instance", make_toy_bandit,
                      **spec.fields("instance", sigma=float))
     setup, run_seed = OPTIMIZERS[optimizer]
-    runner = functools.partial(
-        run_seed, *checked("optimizer", setup, spec, budget or None), bandit)
+    args = checked("optimizer", setup, spec, budget or None)
+    if optimizer == "rr":
+        # the deepest round, on its full grid, pulls the most per arm: a
+        # sigma whose count overflows there is refused before any seed
+        cfg = args[0]
+        checked("instance.sigma", rr.samples_per_arm, cfg.depth, cfg.delta,
+                math.ceil(cfg.lipschitz) << (cfg.depth + 3), bandit.sigma)
+    runner = functools.partial(run_seed, *args, bandit)
     run_rows, trace_rows = [], []
     for seed in seeds:
         x_hat, samples, status, trace = runner(seed)

@@ -58,15 +58,5 @@ class IntervalSet:
                 out.append((cur, b))
         return IntervalSet(out)
 
-    def __eq__(self, other):
-        if not isinstance(other, IntervalSet):
-            return NotImplemented
-        if len(self.spans) != len(other.spans):
-            return False
-        return all(abs(a - c) <= EPSILON and abs(b - d) <= EPSILON
-                   for (a, b), (c, d) in zip(self.spans, other.spans))
-
-    __hash__ = None
-
     def __repr__(self):
         return f"IntervalSet({list(self.spans)!r})"

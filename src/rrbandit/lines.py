@@ -16,7 +16,6 @@ import numpy as np
 
 from . import rr
 from .bandits import Bandit
-from .rng import SeededRng
 
 WRAPS = ("periodic", "truncated")
 
@@ -54,9 +53,6 @@ class SliceBandit(Bandit):
         self.parent = parent
         self.slice = sl
         self.sigma = parent.sigma
-
-    def mean(self, s):
-        return self.parent.mean(self.slice.point(s))
 
     def sample_means(self, points, n, rng):
         return self.parent.sample_means(self.slice.point(points), n, rng)
@@ -144,9 +140,9 @@ def rr_line_search(bandit, sl, cfg, rng, incumbent_value, budget=None):
     _, state = rr.run(line, line_cfg, rng, max_depth=cfg.d_max,
                       budget=budget, incumbent_value=incumbent_value)
     s_hat, g_hat = 0.0, float(incumbent_value)
-    for arm in state.best_per_round:
-        if arm.value < g_hat:
-            s_hat, g_hat = arm.location, arm.value
+    for rec in state.trace:
+        if rec.best.value < g_hat:
+            s_hat, g_hat = rec.best.location, rec.best.value
     locs = [np.array([0.0])] + [rec.locations for rec in state.trace]
     vals = [np.array([incumbent_value])] + [rec.values for rec in state.trace]
     return LineSearchResult(s_hat, g_hat, state.total_samples,

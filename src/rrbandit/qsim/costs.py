@@ -17,7 +17,6 @@ points differ only once.
 """
 
 import math
-from typing import Optional
 
 import numpy as np
 

@@ -29,14 +29,6 @@ class Graph:
         return len(self.edges)
 
 
-def complete_graph(n):
-    return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
-
-
-def path_graph(n):
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
-
-
 def erdos_renyi(n, rng, edge_prob=0.5):
     """Each pair (u, v), u < v in lexicographic order, kept independently
     with probability edge_prob, all decided from one vectorized draw."""

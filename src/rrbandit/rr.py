@@ -23,7 +23,7 @@ bit after it, is the one the per-arm spans give.
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -81,7 +81,8 @@ def samples_per_arm(t, delta, n_arms, sigma=1.0):
     multiplied by max(1, sigma)^2, so any sigma <= 1 gives the same count
     as sigma = 1. For delta large enough that the log goes non-positive (a
     deliberately overconfident setting) the count floors at one pull and
-    no coverage guarantee remains.
+    no coverage guarantee remains. A count that is not finite (a sigma
+    so large that it overflows) raises ValueError.
     """
     if int(t) != t or t < 1:
         raise ValueError("round index must be a positive integer")
@@ -93,8 +94,11 @@ def samples_per_arm(t, delta, n_arms, sigma=1.0):
         raise ValueError("sigma must be finite and non-negative")
     ell = ci_half_width(t)
     alpha = delta / (2 ** t * int(n_arms))
-    scale = max(1.0, sigma) ** 2
-    return max(1, math.ceil(2.0 * scale * math.log(2.0 / alpha) / ell ** 2))
+    try:  # sigma^2, or the count itself, can overflow a float
+        count = 2.0 * max(1.0, sigma) ** 2 * math.log(2.0 / alpha) / ell ** 2
+        return max(1, math.ceil(count))
+    except OverflowError:
+        raise ValueError(f"round {t}'s pull count overflows") from None
 
 
 @dataclass(frozen=True)
@@ -126,22 +130,24 @@ class ArmEstimate:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    round: int
-    n_active: int
-    pulls_per_arm: int
-    locations: np.ndarray
-    values: np.ndarray
-    best: ArmEstimate
-    excluded: IntervalSet
-    surviving_measure: float
-    cumulative_samples: int
+    """One completed round; best.pulls is its pull count per arm."""
+
+    round: int  # its index t
+    n_active: int  # grid arms inside the surviving region, all pulled
+    locations: np.ndarray  # those arms, in grid order
+    values: np.ndarray  # their empirical means
+    best: ArmEstimate  # the lowest mean, the smallest location on ties
+    cumulative_samples: int  # the run's pulls through this round
 
 
 @dataclass(frozen=True)
 class RRState:
-    round: int = 0
+    """The learner between rounds: the region no round has excluded, the
+    pulls of every completed round, one RoundRecord per completed round
+    (len(trace) is the last round's index), and whether the next round
+    was not run because it did not fit the budget."""
+
     surviving: IntervalSet = field(default_factory=IntervalSet.unit)
-    best_per_round: Tuple[ArmEstimate, ...] = ()
     total_samples: int = 0
     trace: Tuple[RoundRecord, ...] = ()
     budget_exhausted: bool = False
@@ -180,7 +186,7 @@ def merged_neighborhoods(centers, radius):
 
 
 def run_round(state, bandit, cfg, rng, budget=None):
-    """Execute round state.round + 1 and return the successor state.
+    """Execute round len(state.trace) + 1 and return the successor state.
 
     The surviving grid arms are pulled in one sample_means call on their
     (k,) float64 array of locations, which draws every arm, in grid order,
@@ -189,12 +195,8 @@ def run_round(state, bandit, cfg, rng, budget=None):
     them all; how the bandit batches the arms never changes a draw. If the
     round's total pull count would exceed the remaining budget, the state
     is returned unchanged except for the budget_exhausted flag.
-
-    The excluded set comes from merged_neighborhoods: the rejected arms'
-    neighborhoods merged in grid order, bitwise the IntervalSet of the
-    per-arm spans, so no output bit depends on the merge.
     """
-    t = state.round + 1
+    t = len(state.trace) + 1
     points = grid_points(t, cfg.lipschitz)
     mask = active_mask(state.surviving, points)
     idx = np.nonzero(mask)[0]
@@ -217,18 +219,16 @@ def run_round(state, bandit, cfg, rng, budget=None):
     excluded = merged_neighborhoods(locations[reject], radius)
     surviving = state.surviving.subtract(excluded)
     total = state.total_samples + cost
-    record = RoundRecord(t, int(idx.size), n_t, locations, values, best,
-                         excluded, surviving.measure(), total)
-    return RRState(t, surviving, state.best_per_round + (best,), total,
-                   state.trace + (record,), False)
+    record = RoundRecord(t, int(idx.size), locations, values, best, total)
+    return RRState(surviving, total, state.trace + (record,), False)
 
 
 def recommend(state):
     """Best arm over all completed rounds; ties keep the earliest round."""
     best = None
-    for arm in state.best_per_round:
-        if best is None or arm.value < best.value:
-            best = arm
+    for rec in state.trace:
+        if best is None or rec.best.value < best.value:
+            best = rec.best
     return best
 
 
@@ -250,7 +250,7 @@ def run(bandit, cfg, rng, max_depth=None, budget=None, incumbent_value=None):
             break
         if (t == 1 and depth > 1 and cfg.early_stop_depth1
                 and incumbent_value is not None):
-            lcb = state.best_per_round[0].value - ci_half_width(1)
+            lcb = state.trace[0].best.value - ci_half_width(1)
             if not lcb < incumbent_value - 2.0 * ci_half_width(1):
                 break
     arm = recommend(state)

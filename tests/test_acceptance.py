@@ -18,13 +18,14 @@ from rrbandit import bounds, rr
 from rrbandit.bandits import GaussianBandit
 from rrbandit.harness import RunSpec, run_bounds, run_toy, run_vqa
 from rrbandit.harness.vqa import aggregate
-from rrbandit.qsim import (PqcBandit, QaoaBandit, complete_graph, cut_values,
-                           erdos_renyi)
+from rrbandit.qsim import PqcBandit, QaoaBandit, cut_values, erdos_renyi
 from rrbandit.qsim.costs import _ShotBandit
 from rrbandit.qsim.statevector import (apply_cz, apply_hadamard, apply_phase,
                                        apply_rotation, batch_size,
                                        probabilities, zero_state)
 from rrbandit.rng import SeededRng
+
+from instances import complete_graph, random_unimodal
 
 EPS_PAC = 2.0 ** -5
 DELTA_PAC = 0.1
@@ -51,14 +52,16 @@ def _pac_runs(sigma):
     gen = SeededRng(7, key=(2,))
     out = []
     for i in range(5):
-        inst = bounds.random_unimodal(gen.child(i))
+        inst = random_unimodal(gen.child(i))
+        x_star = inst.xs[int(np.argmin(inst.vs))]
         cfg = rr.RRConfig(EPS_PAC, DELTA_PAC, inst.lipschitz)
-        bandit = GaussianBandit(inst.value, sigma=sigma)
+        bandit = GaussianBandit(lambda x: np.interp(x, inst.xs, inst.vs),
+                                sigma=sigma)
         failures = 0
         tau_max = 0
         for seed in range(100):
             x_hat, state = rr.run(bandit, cfg, SeededRng(seed, key=(i,)))
-            if abs(x_hat - inst.x_star) > EPS_PAC:
+            if abs(x_hat - x_star) > EPS_PAC:
                 failures += 1
             tau_max = max(tau_max, state.total_samples)
         out.append((inst, failures, tau_max))
@@ -124,7 +127,8 @@ def test_criterion_3_budget_bounds(pac_runs, record_criterion):
     # log-log regression of measured pulls against resolution on the
     # two-sided wedge, whose near-optimal covering numbers are flat
     inst = bounds.wedge()
-    bandit = GaussianBandit(inst.value, sigma=1.0)
+    bandit = GaussianBandit(lambda x: np.interp(x, inst.xs, inst.vs),
+                            sigma=1.0)
     log_inv_eps, log_tau = [], []
     for d in range(3, 8):
         eps = 2.0 ** -d
@@ -150,15 +154,16 @@ def test_criterion_4_exclusion_soundness(record_criterion):
     gen = SeededRng(11, key=(4,))
     violations = 0
     for i in range(1000):
-        inst = bounds.random_unimodal(gen.child(i))
+        inst = random_unimodal(gen.child(i))
+        x_star = inst.xs[int(np.argmin(inst.vs))]
         cfg = rr.RRConfig(EPS_PAC, DELTA_PAC, inst.lipschitz)
-        bandit = GaussianBandit(inst.value, sigma=0.0)
+        bandit = GaussianBandit(lambda x: np.interp(x, inst.xs, inst.vs),
+                                sigma=0.0)
         state = rr.RRState()
         rng = SeededRng(0)
         for _ in range(cfg.depth):
             state = rr.run_round(state, bandit, cfg, rng)
-            if not rr.active_mask(state.surviving,
-                                  np.array([inst.x_star]))[0]:
+            if not rr.active_mask(state.surviving, np.array([x_star]))[0]:
                 violations += 1
     ok = violations == 0
     record_criterion(
@@ -184,15 +189,15 @@ def test_criterion_5_bound_formulas(record_criterion):
     order_ok = all(
         bounds.lower_bound(inst, EPS_PAC, DELTA_PAC)
         <= bounds.upper_bound(inst, EPS_PAC, DELTA_PAC)
-        for inst in (bounds.random_unimodal(gen.child(i))
+        for inst in (random_unimodal(gen.child(i))
                      for i in range(1000)))
 
     grid = (np.arange(1_000_000) + 0.5) / 1_000_000
     gen = SeededRng(8, key=(5,))
     worst_abs = 0.0
     for i in range(25):
-        inst = bounds.random_unimodal(gen.child(i))
-        values = inst.value(grid)
+        inst = random_unimodal(gen.child(i))
+        values = np.interp(grid, inst.xs, inst.vs)
         for t in range(1, 5):
             brute = float(np.mean((values > 2.0 ** -t)
                                   & (values <= 2.0 ** -(t - 1))))

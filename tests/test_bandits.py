@@ -16,7 +16,7 @@ def test_sample_mean_rejects_nonpositive_n():
 def test_gaussian_zero_noise_is_exact_oracle():
     b = GaussianBandit(lambda x: 3.0 * x, sigma=0.0)
     assert b.sample_mean(0.5, 1000, SeededRng(1)) == 1.5
-    assert b.mean(0.25) == 0.75
+    assert b.sample_means(np.array([0.25]), 1, SeededRng(2)).tolist() == [0.75]
 
 
 def test_gaussian_sample_mean_matches_averaged_pulls_in_distribution():
@@ -58,7 +58,8 @@ def test_counting_bandit_ledgers_every_pull():
     c = CountingBandit(inner)
     c.sample_mean(0.2, 17, SeededRng(0))
     assert c.count == 17
-    c.mean(0.3)  # oracle call, not a pull
+    with pytest.raises(NotImplementedError):  # no oracle, and not a pull
+        c.mean(0.3)
     assert c.count == 17
     assert c.sigma == inner.sigma
 
@@ -67,7 +68,8 @@ def test_counting_bandit_passes_values_through():
     inner = GaussianBandit(lambda x: np.full_like(x, 2.0), sigma=0.0)
     c = CountingBandit(inner)
     assert c.sample_mean(0.0, 5, SeededRng(0)) == 2.0
-    assert c.mean(0.0) == 2.0
+    points = np.array([0.0, 0.5])
+    assert c.sample_means(points, 5, SeededRng(0)).tolist() == [2.0, 2.0]
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0, 6.0])

@@ -13,6 +13,8 @@ import pytest
 from rrbandit import bounds
 from rrbandit.rng import SeededRng
 
+from instances import random_unimodal
+
 
 UNIT_WEDGE = bounds.wedge()  # |x - 1/2|
 
@@ -31,7 +33,8 @@ def test_wedge_shapes():
     one_sided = bounds.wedge(x_star=0.0)
     assert one_sided.xs == (0.0, 1.0)
     assert one_sided.vs == (0.0, 1.0)
-    assert bounds.wedge(0.25, 2.0).x_star == 0.25
+    shifted = bounds.wedge(0.25, 2.0)
+    assert shifted.xs[int(np.argmin(shifted.vs))] == 0.25
 
 
 def test_instance_validation():
@@ -57,9 +60,9 @@ def test_instance_validation():
 
 def test_value_interpolates():
     inst = bounds.BoundInstance((0.0, 0.4, 1.0), (0.8, 0.0, 0.6))
-    assert inst.value(0.2) == pytest.approx(0.4)
-    assert inst.value(0.7) == pytest.approx(0.3)
-    assert inst.x_star == 0.4
+    assert np.interp(0.2, inst.xs, inst.vs) == pytest.approx(0.4)
+    assert np.interp(0.7, inst.xs, inst.vs) == pytest.approx(0.3)
+    assert inst.xs[int(np.argmin(inst.vs))] == 0.4
 
 
 # ------------------------------------------------------ level measures
@@ -93,7 +96,7 @@ def test_weight_sum_closed_forms():
 def test_band_measure_matches_band_spans():
     gen = SeededRng(31)
     for i in range(50):
-        inst = bounds.random_unimodal(gen.child(i))
+        inst = random_unimodal(gen.child(i))
         for t in range(1, 5):
             lo, hi = 2.0 ** -t, 2.0 ** -(t - 1)
             m = bounds.band_measure(inst, lo, hi)
@@ -107,8 +110,8 @@ def test_band_measure_brute_force():
     xs = (np.arange(n) + 0.5) / n
     gen = SeededRng(17)
     for i in range(5):
-        inst = bounds.random_unimodal(gen.child(i))
-        vals = inst.value(xs)
+        inst = random_unimodal(gen.child(i))
+        vals = np.interp(xs, inst.xs, inst.vs)
         for t in range(1, 5):
             lo, hi = 2.0 ** -t, 2.0 ** -(t - 1)
             brute = np.count_nonzero((vals > lo) & (vals <= hi)) / n
@@ -163,7 +166,7 @@ def test_delta_one_gives_zero_lower_bound():
 def test_lower_never_exceeds_upper_randomized():
     gen = SeededRng(5)
     for i in range(1000):
-        inst = bounds.random_unimodal(gen.child(i))
+        inst = random_unimodal(gen.child(i))
         lo = bounds.lower_bound(inst, 2.0 ** -5, 0.1)
         hi = bounds.upper_bound(inst, 2.0 ** -5, 0.1)
         assert lo <= hi
@@ -212,9 +215,10 @@ def test_zooming_fit_needs_three_usable_radii():
 def test_random_unimodal_properties():
     gen = SeededRng(99)
     for i in range(200):
-        inst = bounds.random_unimodal(gen.child(i))
-        assert 0.0625 <= inst.x_star <= 1.0 - 0.0625
-        assert inst.value(inst.x_star) == 0.0
+        inst = random_unimodal(gen.child(i))
+        x_star = inst.xs[int(np.argmin(inst.vs))]
+        assert 0.0625 <= x_star <= 1.0 - 0.0625
+        assert np.interp(x_star, inst.xs, inst.vs) == 0.0
         assert inst.lipschitz <= 4.0 + 1e-12
         vs = np.asarray(inst.vs)
         k = int(np.argmin(vs))

@@ -624,6 +624,14 @@ def test_cli_toy_runs_and_exits_zero(tmp_path, capsys):
     assert "runs.csv" in out and "trace.csv" in out
 
 
+def test_cli_toy_rr_runs_a_large_finite_noise_scale(tmp_path):
+    """A sigma whose every round's pull count is finite still runs."""
+    out_dir = tmp_path / "t"
+    assert main(["toy", "--seeds", "0", "--set", "instance.sigma=1e140",
+                 "--out", str(out_dir)]) == 0
+    assert (out_dir / "runs.csv").exists()
+
+
 def test_cli_bounds_default_wedge(tmp_path, capsys):
     code = main(["bounds", "--out", str(tmp_path / "b")])
     assert code == 0
@@ -729,6 +737,12 @@ def test_cli_sizes_take_ranges_in_any_order(tmp_path, capsys):
     ["bounds", "--set", "run.lipschitz=nan"],
     ["bounds", "--set", "run.lipschitz=inf"],
     ["bounds", "--set", "run.radii=0.25,0.25,0.25"],
+    # a noise scale whose deepest toy rr round needs more pulls per arm
+    # than a float holds, with or without a budget that stops round 1
+    ["toy", "--seeds", "0", "--set", "instance.sigma=1e300"],
+    ["toy", "--seeds", "0", "--set", "instance.sigma=1e153"],
+    ["toy", "--seeds", "0", "--budget", "1000",
+     "--set", "instance.sigma=1e153"],
 ])
 def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
     """A value an optimizer config or an instance rejects, or a key its
@@ -752,6 +766,8 @@ def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
      "start"),
     (["bounds", "--set", "run.lipschitz=inf"], "lipschitz"),
     (["bounds", "--set", "run.radii=0.25,0.25,0.25"], "run.radii"),
+    (["toy", "--seeds", "0", "--set", "instance.sigma=1e300"],
+     "instance.sigma"),
 ])
 def test_cli_refusals_name_the_key(argv, key, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2

@@ -79,13 +79,6 @@ def test_intersect_and_union():
     assert spans(IntervalSet(a.spans + b.spans)) == [(0.0, 1.0)]
 
 
-def test_equality_is_tolerance_based():
-    a = IntervalSet([(0.0, 0.5)])
-    b = IntervalSet([(0.0, 0.5 + EPSILON / 3)])
-    assert a == b
-    assert a != IntervalSet([(0.0, 0.6)])
-
-
 def _random_set(gen, max_spans=4):
     n = int(gen.integers(0, max_spans + 1))
     pts = np.sort(gen.random(2 * n))

@@ -13,13 +13,17 @@ from rrbandit.lines import (DriverConfig, LinearSlice, SliceBandit,
 from rrbandit.rng import SeededRng
 
 
-def quadratic_bandit(center, sigma=0.0):
+def quadratic(center):
     center = np.asarray(center, dtype=np.float64)
 
     def mean_fn(p):
         return np.sum((p - center) ** 2, axis=-1)
 
-    return GaussianBandit(mean_fn, sigma=sigma)
+    return mean_fn
+
+
+def quadratic_bandit(center, sigma=0.0):
+    return GaussianBandit(quadratic(center), sigma=sigma)
 
 
 # ------------------------------------------------------------- slices
@@ -53,8 +57,8 @@ def test_slice_bandit_restricts_parent():
     parent = quadratic_bandit([0.25, 0.75])
     sl = LinearSlice((0.0, 0.75), (1.0, 0.0))
     line = SliceBandit(parent, sl)
-    assert line.mean(0.25) == pytest.approx(0.0)
-    assert line.mean(0.5) == pytest.approx(0.0625)
+    exact = line.sample_means(np.array([0.25, 0.5]), 1, SeededRng(0))
+    assert exact.tolist() == pytest.approx([0.0, 0.0625])
 
 
 # -------------------------------------------------------- line search
@@ -96,7 +100,7 @@ def test_line_search_zero_noise_lands_on_nearest_arm():
     parent = quadratic_bandit([0.3, 0.0])
     sl = LinearSlice((0.0, 0.0), (1.0, 0.0))
     res = rr_line_search(parent, sl, DriverConfig(), SeededRng(0),
-                         incumbent_value=parent.mean([0.0, 0.0]))
+                         incumbent_value=quadratic([0.3, 0.0])(np.zeros(2)))
     assert res.s_hat == 9.0 / 32.0  # closest depth-1 arm to the minimum
     assert res.g_hat == pytest.approx((9.0 / 32.0 - 0.3) ** 2)
 
@@ -134,7 +138,8 @@ def test_line_search_returns_s_zero_only_with_the_incumbent_value():
         else:
             parent = quadratic_bandit(center, sigma=sigma)
             # the incumbent below, at or above the line's true value
-            incumbent = parent.mean(base) + (-0.5, 0.0, 0.5)[case % 3]
+            incumbent = (quadratic(center)(np.asarray(base))
+                         + (-0.5, 0.0, 0.5)[case % 3])
         sl = LinearSlice(base, direction)
         cfg = DriverConfig(d_max=1 + case % 2)
         res = rr_line_search(parent, sl, cfg, rng.child(3), incumbent)
@@ -220,12 +225,13 @@ def test_powell_driver_rejects_non_improving_lines():
 
 
 def test_powell_driver_stop_condition():
-    bandit = quadratic_bandit([0.3, 0.7])
+    mean_fn = quadratic([0.3, 0.7])
+    bandit = GaussianBandit(mean_fn, sigma=0.0)
     cfg = DriverConfig(lipschitz=2.0, delta=0.1, d_max=7, max_steps=50)
     res = powell_driver(bandit, np.array([0.5, 0.5]), cfg, SeededRng(1),
-                        stop_condition=lambda p: bandit.mean(p) < 0.05)
+                        stop_condition=lambda p: mean_fn(p) < 0.05)
     assert res.stopped_early
-    assert bandit.mean(res.point) < 0.05
+    assert mean_fn(res.point) < 0.05
 
 
 def test_powell_driver_budget_accounting():
@@ -251,13 +257,14 @@ def test_start_point_validation():
 # -------------------------------------------------- random directions
 
 def test_random_driver_zero_noise_quadratic():
-    bandit = quadratic_bandit([0.3, 0.7])
+    mean_fn = quadratic([0.3, 0.7])
+    bandit = GaussianBandit(mean_fn, sigma=0.0)
     cfg = DriverConfig(lipschitz=2.0, delta=0.1, d_max=7, max_steps=30)
     res = random_direction_driver(bandit, np.array([0.5, 0.5]), cfg,
                                   SeededRng(6),
-                                  stop_condition=lambda p: bandit.mean(p) < 1e-3)
+                                  stop_condition=lambda p: mean_fn(p) < 1e-3)
     assert res.stopped_early
-    assert bandit.mean(res.point) < 1e-3
+    assert mean_fn(res.point) < 1e-3
 
 
 def test_random_driver_reject_moves_only_on_improvement():

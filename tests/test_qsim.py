@@ -13,15 +13,17 @@ import pytest
 from rrbandit.bandits import CountingBandit
 from rrbandit.qsim import (Graph, MAX_QUBITS, PqcBandit, QaoaBandit,
                            apply_cz, apply_hadamard, apply_phase,
-                           apply_rotation, complete_graph,
-                           cut_values, erdos_renyi, expected_reward,
-                           num_qubits, path_graph, probabilities, zero_state)
+                           apply_rotation, cut_values, erdos_renyi,
+                           expected_reward, num_qubits, probabilities,
+                           zero_state)
 from rrbandit.qsim import costs
 from rrbandit.qsim import statevector
 from rrbandit.qsim.costs import (TWO_PI, cz_chain_signs, exact_sum,
                                  uniform_amplitude)
 from rrbandit.qsim.statevector import BATCH_BYTES, y_product_state
 from rrbandit.rng import SeededRng
+
+from instances import complete_graph, path_graph
 
 
 def random_state(n, rng):

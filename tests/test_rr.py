@@ -173,7 +173,8 @@ def test_samples_per_arm_scales_with_noise_above_one():
     assert rr.samples_per_arm(2, 0.1, 32, 6.0) == math.ceil(
         2.0 * 36.0 * math.log(2.0 / (0.1 / (4 * 32))) / rr.ci_half_width(2) ** 2)
     assert 35 * base < rr.samples_per_arm(2, 0.1, 32, 6.0) <= 36 * base
-    for bad in (-0.5, math.inf, math.nan):
+    # 1e300 overflows sigma^2, and 1e153 the count
+    for bad in (-0.5, math.inf, math.nan, 1e300, 1e153):
         with pytest.raises(ValueError):
             rr.samples_per_arm(2, 0.1, 32, bad)
 
@@ -206,16 +207,17 @@ def test_zero_noise_wedge_round1_frozen():
     """
     state = rr.run_round(rr.RRState(), _wedge_bandit(), rr.RRConfig(0.5, 0.1),
                          SeededRng(0))
-    assert state.round == 1
-    best = state.best_per_round[0]
+    assert len(state.trace) == 1
+    best = state.trace[0].best
     assert best.location == 15.0 / 32.0
     assert best.value == pytest.approx(1.0 / 32.0)
     rec = state.trace[0]
     assert rec.n_active == 16
-    assert rec.pulls_per_arm == rr.samples_per_arm(1, 0.1, 16)
-    assert rec.excluded == IntervalSet([(0.0, 1.0 / 16.0),
-                                        (15.0 / 16.0, 1.0)])
-    assert state.surviving == IntervalSet([(1.0 / 16.0, 15.0 / 16.0)])
+    assert rec.best.pulls == rr.samples_per_arm(1, 0.1, 16)
+    # the round's excluded set is the unit interval minus what survives
+    excluded = IntervalSet([(0.0, 1.0 / 16.0), (15.0 / 16.0, 1.0)])
+    assert state.surviving.spans == IntervalSet.unit().subtract(excluded).spans
+    assert state.surviving.spans == ((1.0 / 16.0, 15.0 / 16.0),)
 
 
 def test_round_pulls_follow_the_bandit_noise_scale():
@@ -223,7 +225,7 @@ def test_round_pulls_follow_the_bandit_noise_scale():
     for sigma in (0.5, 6.0):
         state = rr.run_round(rr.RRState(), _wedge_bandit(sigma), cfg,
                              SeededRng(0))
-        assert state.trace[0].pulls_per_arm == rr.samples_per_arm(
+        assert state.trace[0].best.pulls == rr.samples_per_arm(
             1, 0.1, 16, sigma)
 
 
@@ -233,8 +235,8 @@ def test_constant_objective_excludes_nothing():
     for _ in range(3):
         state = rr.run_round(state, bandit, rr.RRConfig(2.0 ** -3, 0.1),
                              SeededRng(0))
-        assert state.surviving == IntervalSet.unit()
-        assert not state.trace[-1].excluded.spans
+        # nothing excluded: every round leaves the unit interval whole
+        assert state.surviving.spans == IntervalSet.unit().spans
 
 
 def test_no_active_arms_raises():
@@ -250,7 +252,7 @@ def test_round_respects_budget():
     state = rr.run_round(state0, _wedge_bandit(1.0), rr.RRConfig(0.5, 0.1),
                          SeededRng(0), budget=cost - 1)
     assert state.budget_exhausted
-    assert state.round == 0 and state.total_samples == 0
+    assert len(state.trace) == 0 and state.total_samples == 0
     state = rr.run_round(state0, _wedge_bandit(1.0), rr.RRConfig(0.5, 0.1),
                          SeededRng(0), budget=cost)
     assert not state.budget_exhausted
@@ -285,7 +287,7 @@ def test_round_draws_its_arms_in_order_from_one_stream(bandit):
     assert [rec.round for rec in state.trace] == [1, 2, 3]
     for rec in state.trace:
         stream = rng.child(rec.round)
-        expect = [bandit.sample_mean(x, rec.pulls_per_arm, stream)
+        expect = [bandit.sample_mean(x, rec.best.pulls, stream)
                   for x in rec.locations.tolist()]
         assert rec.values.tobytes() == np.array(expect).tobytes()
 
@@ -295,22 +297,28 @@ def test_round_draws_its_arms_in_order_from_one_stream(bandit):
 def test_recommend_prefers_earliest_round_on_ties():
     a1 = rr.ArmEstimate(1, 0.2, 0.5, 10)
     a2 = rr.ArmEstimate(2, 0.8, 0.5, 40)
-    assert rr.recommend(rr.RRState(best_per_round=(a1, a2))) is a1
+    trace = (rr.RoundRecord(1, 1, np.array([0.2]), np.array([0.5]), a1, 10),
+             rr.RoundRecord(2, 1, np.array([0.8]), np.array([0.5]), a2, 50))
+    assert rr.recommend(rr.RRState(trace=trace)) is a1
     assert rr.recommend(rr.RRState()) is None
 
 
 def test_full_run_zero_noise_wedge():
-    x_hat, state = rr.run(_wedge_bandit(), rr.RRConfig(2.0 ** -5, 0.1),
-                          SeededRng(0))
-    assert state.round == 5
+    cfg = rr.RRConfig(2.0 ** -5, 0.1)
+    x_hat, state = rr.run(_wedge_bandit(), cfg, SeededRng(0))
+    assert len(state.trace) == 5
     assert x_hat == 255.0 / 512.0  # nearest round-5 arm to the optimum
     assert abs(x_hat - 0.5) <= 2.0 ** -5
-    # surviving measure shrinks monotonically under exact means
-    measures = [rec.surviving_measure for rec in state.trace]
+    # round by round under exact means: the surviving measure shrinks
+    # monotonically, and the optimum is never excluded
+    step = rr.RRState()
+    measures = [step.surviving.measure()]
+    for _ in range(5):
+        step = rr.run_round(step, _wedge_bandit(), cfg, SeededRng(0))
+        measures.append(step.surviving.measure())
+        assert rr.active_mask(step.surviving, np.array([0.5]))[0]
     assert all(m1 >= m2 for m1, m2 in zip(measures, measures[1:]))
-    # optimum is never excluded
-    for rec in state.trace:
-        assert not rr.active_mask(rec.excluded, np.array([0.5]))[0]
+    assert step.surviving.spans == state.surviving.spans
 
 
 def test_run_with_tiny_budget_returns_none():
@@ -324,15 +332,15 @@ def test_run_stops_midway_on_budget():
     cost1 = 16 * rr.samples_per_arm(1, 0.1, 16)
     x_hat, state = rr.run(_wedge_bandit(1.0), rr.RRConfig(2.0 ** -4, 0.1),
                           SeededRng(3), budget=cost1)
-    assert state.round == 1
+    assert len(state.trace) == 1
     assert state.budget_exhausted
-    assert x_hat == state.best_per_round[0].location
+    assert x_hat == state.trace[0].best.location
 
 
 def test_run_max_depth_caps_rounds():
     _, state = rr.run(_wedge_bandit(), rr.RRConfig(2.0 ** -6, 0.1),
                       SeededRng(0), max_depth=2)
-    assert state.round == 2
+    assert len(state.trace) == 2
 
 
 def test_config_validation():
@@ -350,7 +358,7 @@ def test_early_stop_skips_deeper_rounds_when_incumbent_wins():
     bandit = GaussianBandit(lambda x: np.full_like(x, 0.5), sigma=0.0)
     cfg = rr.RRConfig(2.0 ** -4, 0.1, early_stop_depth1=True)
     _, state = rr.run(bandit, cfg, SeededRng(0), incumbent_value=0.1)
-    assert state.round == 1
+    assert len(state.trace) == 1
     # a clearly better landscape keeps digging
     _, state = rr.run(_wedge_bandit(), cfg, SeededRng(0), incumbent_value=0.9)
-    assert state.round == 4
+    assert len(state.trace) == 4
