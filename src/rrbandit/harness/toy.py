@@ -151,7 +151,7 @@ def run_toy(spec):
         # sigma whose count overflows there is refused before any seed
         cfg = args[0]
         checked("instance.sigma", rr.samples_per_arm, cfg.depth, cfg.delta,
-                math.ceil(cfg.lipschitz) << (cfg.depth + 3), bandit.sigma)
+                rr.grid_size(cfg.depth, cfg.lipschitz), bandit.sigma)
     runner = functools.partial(run_seed, *args, bandit)
     run_rows, trace_rows = [], []
     for seed in seeds:

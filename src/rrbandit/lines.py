@@ -1,6 +1,6 @@
 """Reduce d-dimensional optimization to 1-d bandit line searches.
 
-A LinearSlice restricts a bandit to g(s) = f(wrap(p + s*u)) for s in [0,1].
+A SliceBandit restricts a bandit to g(s) = f(wrap(p + s*u)) for s in [0,1].
 Drivers chain elimination line searches along changing directions: cycling
 coordinate directions with classical direction-set updates (powell_driver),
 or uniformly random directions with an improvement or nearest-probe
@@ -20,19 +20,21 @@ from .bandits import Bandit
 WRAPS = ("periodic", "truncated")
 
 
-@dataclass(frozen=True)
-class LinearSlice:
-    base: Tuple[float, ...]
-    direction: Tuple[float, ...]
-    wrap: str = "periodic"
+class SliceBandit(Bandit):
+    """The 1-d bandit g(s) = parent(wrap(base + s * direction)), s in [0,1]."""
 
-    def __post_init__(self):
-        if len(self.base) != len(self.direction):
+    def __init__(self, parent, base, direction, wrap="periodic"):
+        if len(base) != len(direction):
             raise ValueError("base and direction dimensions differ")
-        if self.wrap not in WRAPS:
+        if wrap not in WRAPS:
             raise ValueError(f"wrap must be one of {WRAPS}")
-        if all(u == 0.0 for u in self.direction):
+        if all(u == 0.0 for u in direction):
             raise ValueError("direction must be non-zero")
+        self.parent = parent
+        self.base = base
+        self.direction = direction
+        self.wrap = wrap
+        self.sigma = parent.sigma
 
     @property
     def direction_norm(self):
@@ -45,17 +47,8 @@ class LinearSlice:
             return np.mod(p, 1.0)
         return np.clip(p, 0.0, 1.0)
 
-
-class SliceBandit(Bandit):
-    """1-d view of a parent bandit along a LinearSlice."""
-
-    def __init__(self, parent, sl):
-        self.parent = parent
-        self.slice = sl
-        self.sigma = parent.sigma
-
     def sample_means(self, points, n, rng):
-        return self.parent.sample_means(self.slice.point(points), n, rng)
+        return self.parent.sample_means(self.point(points), n, rng)
 
 
 @dataclass(frozen=True)
@@ -67,8 +60,9 @@ class DriverConfig:
     fed to the sample-count rule; values above ~1 deliberately shrink the
     confidence intervals below their calibrated size, trading the coverage
     guarantee for speed. d_max caps line-search depth, epsilon_line is
-    the dyadic target resolution of a full-depth line search, and
-    acceptance picks random_direction_driver's rule.
+    the dyadic target resolution of a full-depth line search,
+    early_stop_depth1 lets a line search stop after round 1 (see
+    rr_line_search), and acceptance picks random_direction_driver's rule.
     """
 
     lipschitz: float = 0.5
@@ -82,19 +76,18 @@ class DriverConfig:
     budget: Optional[int] = None
 
     def __post_init__(self):
-        rr.dyadic_depth(self.epsilon_line)
+        # a line takes L * |u|, and a driver's |u| is 1 up to rounding
+        # (below 1 + 2^-30 in under 2^22 dimensions): no line fails mid-run
+        rr.RRConfig(self.epsilon_line, self.delta,
+                    self.lipschitz * (1.0 + 2.0 ** -30))
         if self.d_max < 1:
             raise ValueError("d_max must be at least 1")
-        if not 0 < self.delta < math.inf:
-            raise ValueError("delta must be positive and finite")
         if self.max_steps < 0:
             raise ValueError("max_steps must be non-negative")
         if self.wrap not in WRAPS:
             raise ValueError(f"wrap must be one of {WRAPS}")
         if self.acceptance not in ("reject", "aim"):
             raise ValueError("acceptance must be 'reject' or 'aim'")
-        if not 0 < self.lipschitz < math.inf:
-            raise ValueError("lipschitz must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -126,34 +119,36 @@ class DriverResult:
     budget_exhausted: bool = False
 
 
-def rr_line_search(bandit, sl, cfg, rng, incumbent_value, budget=None):
-    """Elimination search along a slice, depth capped at cfg.d_max.
+def rr_line_search(line, cfg, rng, incumbent_value, budget=None):
+    """Elimination search along a SliceBandit, min(D, cfg.d_max) rounds.
 
-    The incumbent value stands in for an observation at s = 0 and wins
-    ties, so a flat slice returns s_hat = 0. Returns the empirical
+    The line's grids take lipschitz cfg.lipschitz * |u|. With
+    cfg.early_stop_depth1, rounds beyond the first only run when the best
+    depth-1 CI lower bound undercuts the incumbent by at least one CI
+    length. The incumbent value stands in for an observation at s = 0 and
+    wins ties, so a flat line returns s_hat = 0. Returns the empirical
     minimizer over the incumbent and every probed grid arm.
     """
-    lips = cfg.lipschitz * sl.direction_norm
-    line = SliceBandit(bandit, sl)
-    line_cfg = rr.RRConfig(cfg.epsilon_line, cfg.delta, lips,
-                           early_stop_depth1=cfg.early_stop_depth1)
-    _, state = rr.run(line, line_cfg, rng, max_depth=cfg.d_max,
-                      budget=budget, incumbent_value=incumbent_value)
+    line_cfg = rr.RRConfig(cfg.epsilon_line, cfg.delta,
+                           cfg.lipschitz * line.direction_norm)
+    state = rr.RRState()
+    for t in range(1, min(line_cfg.depth, cfg.d_max) + 1):
+        state = rr.run_round(state, line, line_cfg, rng, budget=budget)
+        if state.budget_exhausted:
+            break
+        if t == 1 and cfg.early_stop_depth1:
+            lcb = state.trace[0].best.value - rr.ci_half_width(1)
+            if not lcb < incumbent_value - 2.0 * rr.ci_half_width(1):
+                break
     s_hat, g_hat = 0.0, float(incumbent_value)
-    for rec in state.trace:
-        if rec.best.value < g_hat:
-            s_hat, g_hat = rec.best.location, rec.best.value
+    best = rr.recommend(state)
+    if best is not None and best.value < g_hat:
+        s_hat, g_hat = best.location, best.value
     locs = [np.array([0.0])] + [rec.locations for rec in state.trace]
     vals = [np.array([incumbent_value])] + [rec.values for rec in state.trace]
     return LineSearchResult(s_hat, g_hat, state.total_samples,
                             state.budget_exhausted,
                             np.concatenate(locs), np.concatenate(vals))
-
-
-def _incumbent_pulls(cfg, sigma):
-    # same pull count as a depth-1 line arm, so comparisons are like for like
-    n_arms = math.ceil(cfg.lipschitz) << 4
-    return rr.samples_per_arm(1, cfg.delta, n_arms, sigma)
 
 
 def _start_result(bandit, start, cfg, rng):
@@ -164,7 +159,9 @@ def _start_result(bandit, start, cfg, rng):
         raise ValueError("start point must be a 1-d vector")
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("start point must lie in [0,1]^d")
-    n0 = _incumbent_pulls(cfg, bandit.sigma)
+    # a depth-1 line arm's pull count, so comparisons are like for like
+    n0 = rr.samples_per_arm(1, cfg.delta, rr.grid_size(1, cfg.lipschitz),
+                            bandit.sigma)
     if cfg.budget is not None and n0 > cfg.budget:
         return DriverResult(p, math.nan, 0, budget_exhausted=True)
     value = bandit.sample_mean(p, n0, rng.child(0))
@@ -192,9 +189,10 @@ def powell_driver(bandit, start, cfg, rng, stop_condition=None):
             if k >= cfg.max_steps:
                 break
             k += 1
-            sl = LinearSlice(tuple(res.point), directions[i], cfg.wrap)
+            sl = SliceBandit(bandit, tuple(res.point), directions[i],
+                             cfg.wrap)
             remaining = None if cfg.budget is None else cfg.budget - res.samples_used
-            line = rr_line_search(bandit, sl, cfg, rng.child(k), res.value,
+            line = rr_line_search(sl, cfg, rng.child(k), res.value,
                                   budget=remaining)
             res.samples_used += line.samples_used
             accepted = line.g_hat < res.value
@@ -239,9 +237,9 @@ def random_direction_driver(bandit, start, cfg, rng, stop_condition=None):
         if norm == 0.0:  # pragma: no cover - probability zero
             continue
         direction = tuple(gauss / norm)
-        sl = LinearSlice(tuple(res.point), direction, cfg.wrap)
+        sl = SliceBandit(bandit, tuple(res.point), direction, cfg.wrap)
         remaining = None if cfg.budget is None else cfg.budget - res.samples_used
-        line = rr_line_search(bandit, sl, cfg, rng.child(k, 2), res.value,
+        line = rr_line_search(sl, cfg, rng.child(k, 2), res.value,
                               budget=remaining)
         res.samples_used += line.samples_used
         if line.budget_exhausted:

@@ -50,6 +50,11 @@ def dyadic_depth(epsilon):
     return d
 
 
+def grid_size(t, lipschitz):
+    """Arms in round t's grid: ceil(L)*2^(t+3)."""
+    return math.ceil(lipschitz) << (t + 3)
+
+
 def grid_points(t, lipschitz):
     """Arm grid of round t: ceil(L)*2^(t+3) points, half-spacing off the edges.
 
@@ -67,7 +72,7 @@ def grid_points(t, lipschitz):
 
 @functools.lru_cache(maxsize=32)
 def _grid(t, ceil_l):
-    count = ceil_l << (t + 3)
+    count = grid_size(t, ceil_l)
     k = np.arange(1, count + 1, dtype=np.float64)
     points = (2.0 * k - 1.0) / (ceil_l * 2.0 ** (t + 4))
     points.flags.writeable = False
@@ -103,10 +108,13 @@ def samples_per_arm(t, delta, n_arms, sigma=1.0):
 
 @dataclass(frozen=True)
 class RRConfig:
+    """The learner's settings. A lipschitz whose round-1 grid holds more
+    than 2^52 arms is refused, as 2k - 1 in _grid is inexact past that;
+    deeper rounds are left to the budget, which may stop a run first."""
+
     epsilon: float
     delta: float
     lipschitz: float = 1.0
-    early_stop_depth1: bool = False
 
     def __post_init__(self):
         dyadic_depth(self.epsilon)
@@ -114,6 +122,9 @@ class RRConfig:
             raise ValueError("delta must be positive and finite")
         if not 0 < self.lipschitz < math.inf:
             raise ValueError("lipschitz must be positive and finite")
+        if grid_size(1, self.lipschitz) > 2 ** 52:
+            raise ValueError("lipschitz must be at most 2**48, so that "
+                             "round 1 lays at most 2**52 arms")
 
     @property
     def depth(self):
@@ -232,26 +243,16 @@ def recommend(state):
     return best
 
 
-def run(bandit, cfg, rng, max_depth=None, budget=None, incumbent_value=None):
-    """Full elimination run of min(D, max_depth) rounds.
+def run(bandit, cfg, rng, budget=None):
+    """Full elimination run of D rounds, or until the budget runs out.
 
     Returns (location, state); location is None when the budget did not
-    even cover round 1. With early_stop_depth1 set and an incumbent_value
-    given, rounds beyond the first only run when the best depth-1 CI lower
-    bound undercuts the incumbent by at least one CI length.
+    even cover round 1.
     """
-    depth = cfg.depth if max_depth is None else min(cfg.depth, int(max_depth))
-    if depth < 1:
-        raise ValueError("depth must be at least one round")
     state = RRState()
-    for t in range(1, depth + 1):
+    for _ in range(cfg.depth):
         state = run_round(state, bandit, cfg, rng, budget=budget)
         if state.budget_exhausted:
             break
-        if (t == 1 and depth > 1 and cfg.early_stop_depth1
-                and incumbent_value is not None):
-            lcb = state.trace[0].best.value - ci_half_width(1)
-            if not lcb < incumbent_value - 2.0 * ci_half_width(1):
-                break
     arm = recommend(state)
     return (arm.location if arm is not None else None), state

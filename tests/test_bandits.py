@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rrbandit.bandits import Bandit, CountingBandit, GaussianBandit
-from rrbandit.lines import LinearSlice, SliceBandit
+from rrbandit.lines import SliceBandit
 from rrbandit.rng import SeededRng
 
 
@@ -99,9 +99,8 @@ def test_wrappers_forward_the_noise_scale():
     assert Bandit.sigma == 1.0
     noisy = GaussianBandit(np.zeros_like, sigma=6.0)
     assert CountingBandit(noisy).sigma == 6.0
-    sl = LinearSlice((0.5,), (1.0,))
-    assert SliceBandit(noisy, sl).sigma == 6.0
-    assert SliceBandit(CountingBandit(Bandit()), sl).sigma == 1.0
+    assert SliceBandit(noisy, (0.5,), (1.0,)).sigma == 6.0
+    assert SliceBandit(CountingBandit(Bandit()), (0.5,), (1.0,)).sigma == 1.0
 
 
 class _Recorder(Bandit):
@@ -118,8 +117,8 @@ class _Recorder(Bandit):
 
 def test_slice_bandit_maps_points_and_forwards_them():
     parent = _Recorder()
-    sl = LinearSlice((0.5, 0.25), (1.0, 0.5), "periodic")
-    line = SliceBandit(parent, sl)
+    line = SliceBandit(parent, (0.5, 0.25), (1.0, 0.5), "periodic")
     out = line.sample_means(np.array([0.0, 0.25, 0.75]), 3, SeededRng(0))
     assert out.tolist() == [0.0, 0.0, 0.0]
-    assert parent.points == [sl.point(s).tolist() for s in (0.0, 0.25, 0.75)]
+    assert parent.points == [line.point(s).tolist()
+                             for s in (0.0, 0.25, 0.75)]

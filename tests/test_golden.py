@@ -63,6 +63,22 @@ RUNS = {
     "pqc-spsa-l1": ("vqa", "pqc", {
         "run.optimizer": "spsa", "run.sizes": "6,12", "run.seeds": "0..1",
         "instance.layers": "1", "optimizer.max_iters": "3"}),
+    # deep line searches, which the runs above (all d_max = 1) never
+    # reach: the depth-1 early stop both ways, and budgets that run out
+    # after a line's first or second round
+    "qaoa-rr_reject-deep": ("vqa", "qaoa", {
+        "run.optimizer": "rr_reject", "run.sizes": "4,5",
+        "run.seeds": "0..2", "run.budget": "1500000",
+        "optimizer.d_max": "3", "optimizer.early_stop_depth1": "yes"}),
+    # clipped lines at depth 3
+    "qaoa-rr_powell-truncated": ("vqa", "qaoa", {
+        "run.optimizer": "rr_powell", "run.sizes": "4,5",
+        "run.seeds": "0..1", "run.budget": "3000000",
+        "optimizer.d_max": "3", "optimizer.wrap": "truncated"}),
+    "pqc-rr_aim-deep": ("vqa", "pqc", {
+        "run.optimizer": "rr_aim", "run.sizes": "3,4",
+        "run.seeds": "0..1", "run.budget": "1000000",
+        "optimizer.d_max": "2", "optimizer.early_stop_depth1": "yes"}),
 }
 
 GOLDEN = {
@@ -75,6 +91,12 @@ GOLDEN = {
             "2c83921bb599a8df594fdb1a6f13dc95f011ff4af5716e5cce07edddbb464e2a",
         "runs.csv":
             "8cf56ad066595b5c02177e063ab24ede7e2d971ad993956eff6d8d1b5428909f",
+    },
+    "pqc-rr_aim-deep": {
+        "aggregate.csv":
+            "d961313ddc1900684817d9df22d5606ba3108013d7a11c70331cae5c6fac7890",
+        "runs.csv":
+            "b284a09f6592a9c3447dffaff548c66ef0b4bf5ba3c21788d1be871db84497fa",
     },
     "pqc-rr_reject": {
         "aggregate.csv":
@@ -112,11 +134,23 @@ GOLDEN = {
         "runs.csv":
             "9de047d731d4bd56b28e5d0fc77990bf3509ab0565304be26684af6865b72f99",
     },
+    "qaoa-rr_powell-truncated": {
+        "aggregate.csv":
+            "d04a063c1ac159fd9c6d894d2e7a0107671bb38feb75685b37573695cde871bc",
+        "runs.csv":
+            "8519981a1a26ac874fec80aa30d6a3fde5bac10b97fb3aca1a7ba875a9106a8c",
+    },
     "qaoa-rr_powell-wide": {
         "aggregate.csv":
             "419ce1f8b4585f0c347d997dc3361930d6b8f44a8437a67ae106dd7004044aed",
         "runs.csv":
             "cf34be0e16c7d519db49b8ad950c175deb736c51a9989b579cdfeab288c7225d",
+    },
+    "qaoa-rr_reject-deep": {
+        "aggregate.csv":
+            "89aa5e523ac1c662e1694b31d4ba5b550f820f18059f3964dfea78eecc6b68e1",
+        "runs.csv":
+            "ebe1a6ac66ebebfcdbf32e6d820bdf97fc834fc160a54dc3f0eca3a1658ed46c",
     },
     "qaoa-spsa": {
         "aggregate.csv":

@@ -743,6 +743,11 @@ def test_cli_sizes_take_ranges_in_any_order(tmp_path, capsys):
     ["toy", "--seeds", "0", "--set", "instance.sigma=1e153"],
     ["toy", "--seeds", "0", "--budget", "1000",
      "--set", "instance.sigma=1e153"],
+    # a Lipschitz constant whose round-1 grid holds more than 2**52 arms,
+    # for rr and for the line drivers
+    ["toy", "--set", "optimizer.lipschitz=1e300"],
+    ["qaoa", "--sizes", "3", "--seeds", "0",
+     "--set", "optimizer.lipschitz=1e300"],
 ])
 def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
     """A value an optimizer config or an instance rejects, or a key its
@@ -768,14 +773,30 @@ def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
     (["bounds", "--set", "run.radii=0.25,0.25,0.25"], "run.radii"),
     (["toy", "--seeds", "0", "--set", "instance.sigma=1e300"],
      "instance.sigma"),
+    (["toy", "--set", "optimizer.lipschitz=1e300"], "lipschitz"),
+    (["qaoa", "--sizes", "3", "--seeds", "0",
+      "--set", "optimizer.lipschitz=1e300"], "lipschitz"),
 ])
 def test_cli_refusals_name_the_key(argv, key, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
 
 
+def test_cli_accepts_a_deep_epsilon_that_a_budget_stops(tmp_path):
+    """Only round 1's grid is checked: a budget stops this run long before
+    its round-60 grid, whose size no array could hold."""
+    argv = ["toy", "--seeds", "0", "--budget", "1000000",
+            "--set", "optimizer.epsilon=8.673617379884035e-19",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+
+
 QAOA_REJECT = ["qaoa", "--sizes", "4", "--seeds", "0..1", "--budget", "300000",
                "--optimizer", "rr_reject"]
+# the depth cap and the depth-1 early stop live in the line search that
+# every rr_* driver shares, so each driver runs them
+QAOA_POWELL = QAOA_REJECT[:-1] + ["rr_powell"]
+QAOA_AIM = QAOA_REJECT[:-1] + ["rr_aim"]
 
 
 KEY_CASES = [
@@ -786,6 +807,10 @@ KEY_CASES = [
     (QAOA_REJECT, [], "optimizer.max_steps=1"),
     (QAOA_REJECT, ["optimizer.d_max=3"], "optimizer.early_stop_depth1=yes"),
     (QAOA_REJECT, ["optimizer.d_max=3"], "optimizer.epsilon_line=0.5"),
+    (QAOA_POWELL, [], "optimizer.d_max=2"),
+    (QAOA_POWELL, ["optimizer.d_max=3"], "optimizer.early_stop_depth1=yes"),
+    (QAOA_AIM, [], "optimizer.d_max=2"),
+    (QAOA_AIM, ["optimizer.d_max=3"], "optimizer.early_stop_depth1=yes"),
     (QAOA_REJECT, [], "instance.layers=1"),
     (QAOA_REJECT, [], "instance.edge_prob=0.9"),
     (["pqc", "--sizes", "3"] + QAOA_REJECT[3:], [], "instance.layers=1"),
@@ -793,8 +818,16 @@ KEY_CASES = [
 ]
 
 
+def _key_case_id(argv, key):
+    """experiment-key, naming the driver when it is not rr_reject."""
+    if argv[-1] in ("rr_powell", "rr_aim"):
+        return f"{argv[0]}-{argv[-1]}-{key}"
+    return f"{argv[0]}-{key}"
+
+
 @pytest.mark.parametrize("argv, base, key", KEY_CASES,
-                         ids=[f"{argv[0]}-{key}" for argv, _, key in KEY_CASES])
+                         ids=[_key_case_id(argv, key)
+                              for argv, _, key in KEY_CASES])
 def test_every_accepted_key_moves_an_output(argv, base, key, tmp_path):
     """Each [optimizer] key of the rr_* drivers and each [instance] key
     changes runs.csv: none is accepted and then left unread."""

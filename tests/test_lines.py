@@ -7,9 +7,8 @@ import pytest
 
 from rrbandit import rr
 from rrbandit.bandits import CountingBandit, GaussianBandit
-from rrbandit.lines import (DriverConfig, LinearSlice, SliceBandit,
-                            powell_driver, random_direction_driver,
-                            rr_line_search)
+from rrbandit.lines import (DriverConfig, SliceBandit, powell_driver,
+                            random_direction_driver, rr_line_search)
 from rrbandit.rng import SeededRng
 
 
@@ -29,34 +28,35 @@ def quadratic_bandit(center, sigma=0.0):
 # ------------------------------------------------------------- slices
 
 def test_slice_point_periodic_and_truncated():
-    sl = LinearSlice((0.8, 0.5), (1.0, 0.0))
+    parent = quadratic_bandit([0.0, 0.0])
+    sl = SliceBandit(parent, (0.8, 0.5), (1.0, 0.0))
     assert np.allclose(sl.point(0.3), [0.1, 0.5])  # wraps around
-    sl = LinearSlice((0.8, 0.5), (1.0, 0.0), wrap="truncated")
+    sl = SliceBandit(parent, (0.8, 0.5), (1.0, 0.0), wrap="truncated")
     assert np.allclose(sl.point(0.3), [1.0, 0.5])
     assert np.allclose(sl.point(0.0), [0.8, 0.5])
     # an array of s gives the bits of one call per s, under both wraps
     s = np.concatenate([SeededRng(3).random(64), [0.0, 0.5, 1.0]])
     for wrap in ("periodic", "truncated"):
-        sl = LinearSlice((0.8, 0.3, 0.1), (0.6, -0.48, 0.64), wrap)
+        sl = SliceBandit(parent, (0.8, 0.3, 0.1), (0.6, -0.48, 0.64), wrap)
         each = np.array([sl.point(x) for x in s.tolist()])
         assert sl.point(s).shape == (s.size, 3)
         assert sl.point(s).tobytes() == each.tobytes()
 
 
 def test_slice_validation():
+    parent = quadratic_bandit([0.0, 0.0])
     with pytest.raises(ValueError):
-        LinearSlice((0.5,), (1.0, 0.0))
+        SliceBandit(parent, (0.5,), (1.0, 0.0))
     with pytest.raises(ValueError):
-        LinearSlice((0.5, 0.5), (0.0, 0.0))
+        SliceBandit(parent, (0.5, 0.5), (0.0, 0.0))
     with pytest.raises(ValueError):
-        LinearSlice((0.5,), (1.0,), wrap="reflect")
-    assert LinearSlice((0.0, 0.0), (3.0, 4.0)).direction_norm == 5.0
+        SliceBandit(parent, (0.5,), (1.0,), wrap="reflect")
+    assert SliceBandit(parent, (0.0, 0.0), (3.0, 4.0)).direction_norm == 5.0
 
 
 def test_slice_bandit_restricts_parent():
     parent = quadratic_bandit([0.25, 0.75])
-    sl = LinearSlice((0.0, 0.75), (1.0, 0.0))
-    line = SliceBandit(parent, sl)
+    line = SliceBandit(parent, (0.0, 0.75), (1.0, 0.0))
     exact = line.sample_means(np.array([0.25, 0.5]), 1, SeededRng(0))
     assert exact.tolist() == pytest.approx([0.0, 0.0625])
 
@@ -65,9 +65,9 @@ def test_slice_bandit_restricts_parent():
 
 def test_line_search_probes_incumbent_plus_grid():
     parent = quadratic_bandit([0.3, 0.5], sigma=1.0)
-    sl = LinearSlice((0.0, 0.5), (1.0, 0.0))
+    sl = SliceBandit(parent, (0.0, 0.5), (1.0, 0.0))
     cfg = DriverConfig()  # lipschitz 0.5 -> 16 depth-1 arms
-    res = rr_line_search(parent, sl, cfg, SeededRng(0), incumbent_value=0.4)
+    res = rr_line_search(sl, cfg, SeededRng(0), incumbent_value=0.4)
     assert res.locations.shape == (17,)
     assert res.locations[0] == 0.0
     assert res.values[0] == 0.4
@@ -76,11 +76,11 @@ def test_line_search_probes_incumbent_plus_grid():
 
 def test_line_pulls_and_incumbent_pulls_follow_the_noise_scale():
     parent = CountingBandit(quadratic_bandit([0.3, 0.5], sigma=6.0))
-    sl = LinearSlice((0.0, 0.5), (1.0, 0.0))
+    sl = SliceBandit(parent, (0.0, 0.5), (1.0, 0.0))
     cfg = DriverConfig(max_steps=1)
     n = rr.samples_per_arm(1, cfg.delta, 16, 6.0)
     assert n > 35 * rr.samples_per_arm(1, cfg.delta, 16)
-    res = rr_line_search(parent, sl, cfg, SeededRng(0), incumbent_value=0.4)
+    res = rr_line_search(sl, cfg, SeededRng(0), incumbent_value=0.4)
     assert res.samples_used == 16 * n
     parent.count = 0
     res = powell_driver(parent, np.array([0.5, 0.5]), cfg, SeededRng(0))
@@ -91,15 +91,16 @@ def test_line_pulls_and_incumbent_pulls_follow_the_noise_scale():
 def test_line_search_arm_count_scales_with_direction_norm():
     parent = quadratic_bandit([0.3, 0.5], sigma=1.0)
     cfg = DriverConfig()
-    sl = LinearSlice((0.0, 0.0), (0.0, 3.0))  # norm 3 -> lipschitz 1.5
-    res = rr_line_search(parent, sl, cfg, SeededRng(0), incumbent_value=1.0)
+    # norm 3 -> lipschitz 1.5
+    sl = SliceBandit(parent, (0.0, 0.0), (0.0, 3.0))
+    res = rr_line_search(sl, cfg, SeededRng(0), incumbent_value=1.0)
     assert res.locations.shape == (33,)
 
 
 def test_line_search_zero_noise_lands_on_nearest_arm():
     parent = quadratic_bandit([0.3, 0.0])
-    sl = LinearSlice((0.0, 0.0), (1.0, 0.0))
-    res = rr_line_search(parent, sl, DriverConfig(), SeededRng(0),
+    sl = SliceBandit(parent, (0.0, 0.0), (1.0, 0.0))
+    res = rr_line_search(sl, DriverConfig(), SeededRng(0),
                          incumbent_value=quadratic([0.3, 0.0])(np.zeros(2)))
     assert res.s_hat == 9.0 / 32.0  # closest depth-1 arm to the minimum
     assert res.g_hat == pytest.approx((9.0 / 32.0 - 0.3) ** 2)
@@ -107,8 +108,8 @@ def test_line_search_zero_noise_lands_on_nearest_arm():
 
 def test_line_search_flat_slice_keeps_incumbent():
     parent = GaussianBandit(lambda p: np.full(len(p), 0.5), sigma=0.0)
-    sl = LinearSlice((0.2, 0.2), (1.0, 0.0))
-    res = rr_line_search(parent, sl, DriverConfig(), SeededRng(0),
+    sl = SliceBandit(parent, (0.2, 0.2), (1.0, 0.0))
+    res = rr_line_search(sl, DriverConfig(), SeededRng(0),
                          incumbent_value=0.5)
     assert res.s_hat == 0.0
     assert res.g_hat == 0.5
@@ -140,18 +141,18 @@ def test_line_search_returns_s_zero_only_with_the_incumbent_value():
             # the incumbent below, at or above the line's true value
             incumbent = (quadratic(center)(np.asarray(base))
                          + (-0.5, 0.0, 0.5)[case % 3])
-        sl = LinearSlice(base, direction)
+        sl = SliceBandit(parent, base, direction)
         cfg = DriverConfig(d_max=1 + case % 2)
-        res = rr_line_search(parent, sl, cfg, rng.child(3), incumbent)
+        res = rr_line_search(sl, cfg, rng.child(3), incumbent)
         assert (res.s_hat == 0.0) == (res.g_hat == incumbent)
         assert res.g_hat <= incumbent
 
 
 def test_line_search_depth_two_probes_more():
     parent = quadratic_bandit([0.3, 0.0])
-    sl = LinearSlice((0.0, 0.0), (1.0, 0.0))
+    sl = SliceBandit(parent, (0.0, 0.0), (1.0, 0.0))
     cfg = DriverConfig(d_max=2)
-    res = rr_line_search(parent, sl, cfg, SeededRng(0), incumbent_value=0.09)
+    res = rr_line_search(sl, cfg, SeededRng(0), incumbent_value=0.09)
     assert res.locations.shape[0] > 17
     # depth 2 halves the grid resolution
     assert abs(res.s_hat - 0.3) <= 1.0 / 64.0
@@ -159,13 +160,57 @@ def test_line_search_depth_two_probes_more():
 
 def test_line_search_budget_exhaustion_returns_incumbent_only():
     parent = quadratic_bandit([0.3, 0.0], sigma=1.0)
-    sl = LinearSlice((0.0, 0.0), (1.0, 0.0))
-    res = rr_line_search(parent, sl, DriverConfig(), SeededRng(0),
+    sl = SliceBandit(parent, (0.0, 0.0), (1.0, 0.0))
+    res = rr_line_search(sl, DriverConfig(), SeededRng(0),
                          incumbent_value=0.7, budget=10)
     assert res.budget_exhausted
     assert res.samples_used == 0
     assert res.locations.shape == (1,)
     assert res.s_hat == 0.0
+
+
+def _wedge_line():
+    """|s - 1/2| with no noise, as a line at lipschitz L * |u| = L."""
+    parent = GaussianBandit(lambda p: np.abs(p[:, 0] - 0.5), sigma=0.0)
+    return SliceBandit(parent, (0.0,), (1.0,))
+
+
+def _record_states(monkeypatch):
+    """The learner states the line searches run, the last one at [-1]."""
+    states = []
+    run_round = rr.run_round
+
+    def recording(*args, **kwargs):
+        states.append(run_round(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(rr, "run_round", recording)
+    return states
+
+
+def test_line_search_d_max_caps_rounds(monkeypatch):
+    states = _record_states(monkeypatch)
+    cfg = DriverConfig(lipschitz=1.0, delta=0.1, d_max=2,
+                       epsilon_line=2.0 ** -6)
+    rr_line_search(_wedge_line(), cfg, SeededRng(0), incumbent_value=1.0)
+    state = states[-1]
+    assert len(state.trace) == 2
+
+
+def test_early_stop_skips_deeper_rounds_when_incumbent_wins(monkeypatch):
+    states = _record_states(monkeypatch)
+    cfg = DriverConfig(lipschitz=1.0, delta=0.1, d_max=4,
+                       epsilon_line=2.0 ** -4, early_stop_depth1=True)
+    # flat landscape: round 1 cannot undercut a strong incumbent
+    flat = GaussianBandit(lambda p: np.full(len(p), 0.5), sigma=0.0)
+    rr_line_search(SliceBandit(flat, (0.0,), (1.0,)), cfg, SeededRng(0),
+                   incumbent_value=0.1)
+    state = states[-1]
+    assert len(state.trace) == 1
+    # a clearly better landscape keeps digging
+    rr_line_search(_wedge_line(), cfg, SeededRng(0), incumbent_value=0.9)
+    state = states[-1]
+    assert len(state.trace) == 4
 
 
 def test_driver_config_validation():
@@ -183,6 +228,20 @@ def test_driver_config_validation():
         with pytest.raises(ValueError):
             DriverConfig(**bad)
     DriverConfig(max_steps=0)  # the bound is inclusive
+
+
+def test_driver_lipschitz_holds_on_every_line():
+    """A driver's unit directions can come out a few ulps longer than 1,
+    so DriverConfig refuses a lipschitz near RRConfig's limit that a line
+    search would refuse at L * |u|, instead of failing mid-run."""
+    with pytest.raises(ValueError, match="lipschitz"):
+        DriverConfig(lipschitz=2.0 ** 48)
+    lips = 2.0 ** 48 - 2.0 ** 18
+    cfg = DriverConfig(lipschitz=lips)
+    line = SliceBandit(quadratic_bandit([0.5]), (0.5,), (1.0 + 2.0 ** -52,))
+    assert line.direction_norm > 1.0
+    for norm in (line.direction_norm, 1.0 + 2.0 ** -40):
+        rr.RRConfig(cfg.epsilon_line, cfg.delta, lips * norm)
 
 
 # ----------------------------------------------------- direction sets

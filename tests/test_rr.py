@@ -8,7 +8,7 @@ import pytest
 from rrbandit import rr
 from rrbandit.bandits import GaussianBandit
 from rrbandit.intervals import EPSILON, IntervalSet
-from rrbandit.lines import LinearSlice, SliceBandit
+from rrbandit.lines import SliceBandit
 from rrbandit.qsim import PqcBandit
 from rrbandit.rng import SeededRng
 
@@ -271,8 +271,8 @@ def test_rounds_are_deterministic_given_seed():
 
 
 def _pqc_line():
-    sl = LinearSlice((0.3, 0.6, 0.1, 0.8), (1.0, 0.0, 0.0, 0.0))
-    return SliceBandit(PqcBandit(2), sl)
+    return SliceBandit(PqcBandit(2), (0.3, 0.6, 0.1, 0.8),
+                       (1.0, 0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("bandit", [_wedge_bandit(1.0), _pqc_line()],
@@ -337,12 +337,6 @@ def test_run_stops_midway_on_budget():
     assert x_hat == state.trace[0].best.location
 
 
-def test_run_max_depth_caps_rounds():
-    _, state = rr.run(_wedge_bandit(), rr.RRConfig(2.0 ** -6, 0.1),
-                      SeededRng(0), max_depth=2)
-    assert len(state.trace) == 2
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         rr.RRConfig(0.3, 0.1)
@@ -353,12 +347,20 @@ def test_config_validation():
     assert rr.RRConfig(2.0 ** -4, 0.1).depth == 4
 
 
-def test_early_stop_skips_deeper_rounds_when_incumbent_wins():
-    # flat landscape: round 1 cannot undercut a strong incumbent
-    bandit = GaussianBandit(lambda x: np.full_like(x, 0.5), sigma=0.0)
-    cfg = rr.RRConfig(2.0 ** -4, 0.1, early_stop_depth1=True)
-    _, state = rr.run(bandit, cfg, SeededRng(0), incumbent_value=0.1)
-    assert len(state.trace) == 1
-    # a clearly better landscape keeps digging
-    _, state = rr.run(_wedge_bandit(), cfg, SeededRng(0), incumbent_value=0.9)
-    assert len(state.trace) == 4
+def test_grid_size_counts_the_grid():
+    for lips in (0.5, 1.0, 2.2, 3.0):
+        for t in range(1, 6):
+            assert rr.grid_size(t, lips) == rr.grid_points(t, lips).size
+
+
+def test_config_refuses_a_round1_grid_past_2_to_the_52():
+    """Round 1 lays 16 * ceil(L) arms, and past 2^52 of them the grid's
+    numerators 2k - 1 are not exact: L = 2^48 is the largest accepted.
+    Deeper rounds are left to the budget, so a deep epsilon is accepted."""
+    assert rr.grid_size(1, 2.0 ** 48) == 2 ** 52
+    rr.RRConfig(0.5, 0.1, lipschitz=2.0 ** 48)
+    for lips in (math.nextafter(2.0 ** 48, math.inf), 1e300):
+        with pytest.raises(ValueError, match="lipschitz"):
+            rr.RRConfig(0.5, 0.1, lipschitz=lips)
+    assert rr.RRConfig(2.0 ** -60, 0.1, lipschitz=2.0 ** 48).depth == 60
+
