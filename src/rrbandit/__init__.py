@@ -9,7 +9,7 @@ The harness subpackage runs and aggregates seeded experiments from spec
 files; see the rrbandit command-line entry point.
 """
 
-from .bandits import Bandit, CountingBandit, GaussianBandit
+from .bandits import Bandit, GaussianBandit
 from .intervals import EPSILON, IntervalSet
 from .rng import SeededRng
 from .rr import (ArmEstimate, NoActiveArmsError, RRConfig, RRState,
@@ -19,7 +19,7 @@ from .rr import (ArmEstimate, NoActiveArmsError, RRConfig, RRState,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmEstimate", "Bandit", "CountingBandit", "EPSILON", "GaussianBandit",
+    "ArmEstimate", "Bandit", "EPSILON", "GaussianBandit",
     "IntervalSet", "NoActiveArmsError", "RRConfig", "RRState", "SeededRng",
     "ci_half_width", "dyadic_depth", "grid_points", "recommend", "run",
     "run_round", "samples_per_arm",

@@ -67,22 +67,3 @@ class GaussianBandit(Bandit):
         z = rng.standard_normal(means.size)
         return means + self.sigma * z / math.sqrt(n)
 
-
-class CountingBandit(Bandit):
-    """Wrapper that ledgers every pull going through the bandit interface.
-
-    It has no oracle: mean() raises NotImplementedError, as on Bandit.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.sigma = inner.sigma
-        self.count = 0
-
-    def sample_mean(self, x, n, rng):
-        self.count += int(n)
-        return self.inner.sample_mean(x, n, rng)
-
-    def sample_means(self, points, n, rng):
-        self.count += int(n) * len(points)
-        return self.inner.sample_means(points, n, rng)

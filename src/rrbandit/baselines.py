@@ -135,27 +135,23 @@ def powell_brent(bandit, start, cfg, rng, stop_condition=None):
     shots = cfg.shots_per_eval
     res = DriverResult(x0.copy(), math.nan, 0)
     best = {"x": x0.copy(), "y": math.inf}
-    evals = [0]
-    iters = [0]
 
     def objective(x):
         if cfg.budget is not None and res.samples_used + shots > cfg.budget:
             res.budget_exhausted = True
             raise _BudgetExhausted
-        evals[0] += 1
         res.samples_used += shots
         y = bandit.sample_mean(np.clip(x, 0.0, 1.0), shots,
-                               rng.child(evals[0]))
+                               rng.child(res.samples_used // shots))
         if y < best["y"]:
             best["y"] = y
             best["x"] = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
         return y
 
     def callback(xk):
-        iters[0] += 1
         res.point = np.clip(np.asarray(xk, dtype=np.float64), 0.0, 1.0)
         res.value = best["y"]
-        res.steps.append(StepRecord(iters[0], (), True, res.value,
+        res.steps.append(StepRecord(len(res.steps) + 1, (), True, res.value,
                                     res.samples_used))
         if stop_condition is not None and stop_condition(res.point):
             res.stopped_early = True

@@ -148,10 +148,13 @@ def run_toy(spec):
     args = checked("optimizer", setup, spec, budget or None)
     if optimizer == "rr":
         # the deepest round, on its full grid, pulls the most per arm: a
-        # sigma whose count overflows there is refused before any seed
+        # depth whose count overflows there even at sigma = 1, or else a
+        # sigma whose count does, is refused before any seed
         cfg = args[0]
-        checked("instance.sigma", rr.samples_per_arm, cfg.depth, cfg.delta,
-                rr.grid_size(cfg.depth, cfg.lipschitz), bandit.sigma)
+        arms = rr.grid_size(cfg.depth, cfg.lipschitz)
+        for key, sigma in (("optimizer.epsilon", 1.0),
+                           ("instance.sigma", bandit.sigma)):
+            checked(key, rr.samples_per_arm, cfg.depth, cfg.delta, arms, sigma)
     runner = functools.partial(run_seed, *args, bandit)
     run_rows, trace_rows = [], []
     for seed in seeds:

@@ -16,7 +16,6 @@ import os
 
 import numpy as np
 
-from ..bandits import CountingBandit
 from ..baselines import PowellBrentConfig, powell_brent, spsa
 from ..lines import DriverConfig, powell_driver, random_direction_driver
 from ..qsim import MAX_QUBITS, PqcBandit, QaoaBandit, erdos_renyi
@@ -114,8 +113,8 @@ def run_single(experiment, optimizer, size, seed, threshold, config, spec):
     config is optimizer_config(spec, optimizer, budget). Reproducibility
     comes from the (seed, size) derived stream: child 0 builds the
     instance, child 1 draws the start point, child 2 feeds the optimizer.
-    The bandit is wrapped in a pull counter so the reported sample count
-    is the bandit-interface truth rather than optimizer bookkeeping.
+    samples_spent is the driver's own ledger, res.samples_used: every
+    pull it drew through the bandit interface, 0 when the start crosses.
     oracle_evals counts crossing checks. A check at the point checked last
     (a rejected step leaves the incumbent unchanged) and final_cost read
     the exact mean that the bandit holds for that point.
@@ -124,7 +123,6 @@ def run_single(experiment, optimizer, size, seed, threshold, config, spec):
     bandit, label = build_instance(experiment, size, spec, run_rng.child(0))
     if optimizer == "rr_powell" and bandit.dimension < 2:
         raise ConfigError(f"rr_powell needs at least 2 parameters, {label} has 1")
-    counting = CountingBandit(bandit)
     start = run_rng.child(1).random(bandit.dimension)
     oracle = {"evals": 0}
 
@@ -133,21 +131,20 @@ def run_single(experiment, optimizer, size, seed, threshold, config, spec):
         return bandit.mean(point) <= threshold
 
     if crossed(start):
-        point = start
-        did_cross = True
+        point, did_cross, spent = start, True, 0
     else:
         driver = globals()[OPTIMIZERS[optimizer][1]]
-        res = driver(counting, start, config, run_rng.child(2),
+        res = driver(bandit, start, config, run_rng.child(2),
                      stop_condition=crossed)
-        point = res.point
-        did_cross = res.stopped_early
+        point, did_cross = res.point, res.stopped_early
+        spent = res.samples_used
 
     return {
         "experiment": experiment, "optimizer": optimizer, "size": size,
         "seed": seed, "instance": label,
         "status": "crossed" if did_cross else "censored",
-        "n_total": counting.count if did_cross else math.inf,
-        "samples_spent": counting.count,
+        "n_total": spent if did_cross else math.inf,
+        "samples_spent": spent,
         "oracle_evals": oracle["evals"],
         "final_cost": float(bandit.mean(point)),
     }

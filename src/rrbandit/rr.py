@@ -44,7 +44,7 @@ def dyadic_depth(epsilon):
     """Number of rounds D with epsilon = 2^-D; rejects non-dyadic epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    d = round(math.log2(1.0 / epsilon))
+    d = round(-math.log2(epsilon))
     if d < 1 or 2.0 ** -d != epsilon:
         raise ValueError(f"epsilon must be 2**-D for an integer D >= 1, got {epsilon}")
     return d
@@ -98,8 +98,8 @@ def samples_per_arm(t, delta, n_arms, sigma=1.0):
     if not 0.0 <= sigma < math.inf:
         raise ValueError("sigma must be finite and non-negative")
     ell = ci_half_width(t)
-    alpha = delta / (2 ** t * int(n_arms))
-    try:  # sigma^2, or the count itself, can overflow a float
+    try:  # 2^t * n_arms, sigma^2 or the count itself can overflow a float
+        alpha = delta / (2 ** t * int(n_arms))
         count = 2.0 * max(1.0, sigma) ** 2 * math.log(2.0 / alpha) / ell ** 2
         return max(1, math.ceil(count))
     except OverflowError:

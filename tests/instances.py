@@ -1,10 +1,29 @@
-"""Instance generators that only the tests use: random bound instances and
-small named graphs."""
+"""What only the tests use: random bound instances, small named graphs and
+the reference pull ledger."""
 
 import numpy as np
 
+from rrbandit.bandits import Bandit
 from rrbandit.bounds import BoundInstance
 from rrbandit.qsim import Graph
+
+
+class CountingBandit(Bandit):
+    """Wrapper that ledgers every pull going through the bandit interface.
+
+    The inherited sample_mean draws through sample_means, so one counter
+    sees both. It has no oracle: mean() raises NotImplementedError, as on
+    Bandit.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sigma = inner.sigma
+        self.count = 0
+
+    def sample_means(self, points, n, rng):
+        self.count += int(n) * len(points)
+        return self.inner.sample_means(points, n, rng)
 
 
 def random_unimodal(rng, max_side_pieces=3, slope_range=(0.25, 4.0),

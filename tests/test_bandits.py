@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from rrbandit.bandits import Bandit, CountingBandit, GaussianBandit
+from rrbandit.bandits import Bandit, GaussianBandit
 from rrbandit.lines import SliceBandit
 from rrbandit.rng import SeededRng
+
+from instances import CountingBandit
 
 
 def test_sample_mean_rejects_nonpositive_n():

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from rrbandit.bandits import CountingBandit, GaussianBandit
+from rrbandit.bandits import GaussianBandit
 from rrbandit.baselines import (PowellBrentConfig, SpsaConfig, powell_brent,
                                 spsa, spsa_gradient)
 from rrbandit.rng import SeededRng
+
+from instances import CountingBandit
 
 
 def quadratic(center):

@@ -748,6 +748,13 @@ def test_cli_sizes_take_ranges_in_any_order(tmp_path, capsys):
     ["toy", "--set", "optimizer.lipschitz=1e300"],
     ["qaoa", "--sizes", "3", "--seeds", "0",
      "--set", "optimizer.lipschitz=1e300"],
+    # a depth whose deepest toy rr round needs more pulls per arm than a
+    # float holds even at sigma = 1: a subnormal epsilon, D = 503, where
+    # the count overflows, and D = 511, where its level does
+    ["toy", "--seeds", "0", "--set", "optimizer.epsilon=5e-324"],
+    ["toy", "--seeds", "0", "--set", f"optimizer.epsilon={2.0 ** -503!r}"],
+    ["toy", "--seeds", "0", "--budget", "100000",
+     "--set", f"optimizer.epsilon={2.0 ** -511!r}"],
 ])
 def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
     """A value an optimizer config or an instance rejects, or a key its
@@ -776,6 +783,12 @@ def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
     (["toy", "--set", "optimizer.lipschitz=1e300"], "lipschitz"),
     (["qaoa", "--sizes", "3", "--seeds", "0",
       "--set", "optimizer.lipschitz=1e300"], "lipschitz"),
+    (["toy", "--seeds", "0", "--set", "optimizer.epsilon=5e-324"],
+     "optimizer.epsilon"),
+    (["toy", "--seeds", "0", "--set", f"optimizer.epsilon={2.0 ** -503!r}"],
+     "optimizer.epsilon"),
+    (["toy", "--seeds", "0", "--budget", "100000",
+      "--set", f"optimizer.epsilon={2.0 ** -511!r}"], "optimizer.epsilon"),
 ])
 def test_cli_refusals_name_the_key(argv, key, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -789,6 +802,20 @@ def test_cli_accepts_a_deep_epsilon_that_a_budget_stops(tmp_path):
             "--set", "optimizer.epsilon=8.673617379884035e-19",
             "--out", str(tmp_path / "out")]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["toy", "--seeds", "0", "--budget", "100000",
+     "--set", f"optimizer.epsilon={2.0 ** -502!r}"],
+    ["qaoa", "--sizes", "3", "--seeds", "0",
+     "--set", "optimizer.epsilon_line=5e-324"],
+], ids=["toy-D502", "qaoa-line-D1074"])
+def test_cli_accepts_the_deepest_epsilons_it_can_count(argv, tmp_path):
+    """At the default delta and lipschitz, round 502 is the deepest whose
+    pull count per arm a float holds on the toy's full grid, and a budget
+    stops the run long before it. A line search at the default d_max runs
+    round 1 alone, so even the subnormal epsilon 2**-1074 runs."""
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
 QAOA_REJECT = ["qaoa", "--sizes", "4", "--seeds", "0..1", "--budget", "300000",

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from rrbandit import rr
-from rrbandit.bandits import CountingBandit, GaussianBandit
+from rrbandit.bandits import GaussianBandit
 from rrbandit.lines import (DriverConfig, SliceBandit, powell_driver,
                             random_direction_driver, rr_line_search)
 from rrbandit.rng import SeededRng
+
+from instances import CountingBandit
 
 
 def quadratic(center):

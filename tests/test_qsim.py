@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from rrbandit.bandits import CountingBandit
 from rrbandit.qsim import (Graph, MAX_QUBITS, PqcBandit, QaoaBandit,
                            apply_cz, apply_hadamard, apply_phase,
                            apply_rotation, cut_values, erdos_renyi,
@@ -23,7 +22,7 @@ from rrbandit.qsim.costs import (TWO_PI, cz_chain_signs, exact_sum,
 from rrbandit.qsim.statevector import BATCH_BYTES, y_product_state
 from rrbandit.rng import SeededRng
 
-from instances import complete_graph, path_graph
+from instances import CountingBandit, complete_graph, path_graph
 
 
 def random_state(n, rng):

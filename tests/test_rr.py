@@ -179,9 +179,22 @@ def test_samples_per_arm_scales_with_noise_above_one():
             rr.samples_per_arm(2, 0.1, 32, bad)
 
 
+def test_samples_per_arm_overflows_past_the_deepest_countable_round():
+    """On the toy's full grid at sigma 1, round 502's count is a float,
+    round 503's overflows and round 511's level 2^t * n_arms does too."""
+    assert rr.samples_per_arm(502, 0.1, rr.grid_size(502, 2.0)) < math.inf
+    for t in (503, 511):
+        with pytest.raises(ValueError, match="overflows"):
+            rr.samples_per_arm(t, 0.1, rr.grid_size(t, 2.0))
+
+
 def test_dyadic_depth():
     assert rr.dyadic_depth(0.5) == 1
     assert rr.dyadic_depth(2.0 ** -7) == 7
+    # every dyadic epsilon down to the smallest subnormal, 2**-1074; below
+    # 2**-1023 the reciprocal 1/epsilon overflows a float
+    assert [rr.dyadic_depth(2.0 ** -d) for d in range(1, 1075)] == \
+        list(range(1, 1075))
     for bad in (0.3, 1.0, 0.0, 2.0, -0.5):
         with pytest.raises(ValueError):
             rr.dyadic_depth(bad)

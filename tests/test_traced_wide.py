@@ -3,9 +3,10 @@
 perfbench's own tests trace only 3- and 4-qubit circuits. These run one
 pass of a 12-qubit QAOA rr_powell, a 12-qubit PQC SPSA run and a toy
 elimination run with every perfbench patch point wrapped, and check that
-each point was found and that tracing changed no output byte. The last
-test checks that the benchmark can still record its environment, which
-every benchmark run does.
+each point was found and that tracing changed no output byte. The
+benchmark's own traced run on two of its workloads must meet the
+`correct` predicate it reports. The last test checks that the benchmark
+can still record its environment, which every benchmark run does.
 """
 
 import os
@@ -57,6 +58,19 @@ def test_traced_wide_pass_matches_the_untraced_one(tmp_path, workload):
 
 def test_traced_toy_pass_matches_the_untraced_one(tmp_path):
     assert traced_pass(tmp_path, TOY).counters["rr.rounds"] > 0
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("toy-rr", 0), ("toy-rr", 1), ("qaoa-narrow", 0)])
+def test_traced_benchmark_run_is_correct(tmp_path, name, seed):
+    """The benchmark's own traced run, with its MIN_PASSES rounds of an
+    untraced and a traced pass, meets run.py's `correct`: no job failed,
+    every pass wrote the same CSVs, and no patch point or span sum broke."""
+    summary, _ = run.traced_run(workloads.WORKLOADS[name], seed, 0.0,
+                                str(tmp_path))
+    assert summary["failed"] == 0
+    assert summary["deterministic"]
+    assert summary["problems"] == []
 
 
 def test_benchmark_records_its_environment(monkeypatch):
