@@ -13,14 +13,13 @@ from .bandits import Bandit, GaussianBandit
 from .intervals import EPSILON, IntervalSet
 from .rng import SeededRng
 from .rr import (ArmEstimate, NoActiveArmsError, RRConfig, RRState,
-                 ci_half_width, dyadic_depth, grid_points, recommend, run,
-                 run_round, samples_per_arm)
+                 ci_half_width, dyadic_depth, recommend, run, run_round,
+                 samples_per_arm)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmEstimate", "Bandit", "EPSILON", "GaussianBandit",
-    "IntervalSet", "NoActiveArmsError", "RRConfig", "RRState", "SeededRng",
-    "ci_half_width", "dyadic_depth", "grid_points", "recommend", "run",
-    "run_round", "samples_per_arm",
+    "ArmEstimate", "Bandit", "EPSILON", "GaussianBandit", "IntervalSet",
+    "NoActiveArmsError", "RRConfig", "RRState", "SeededRng", "ci_half_width",
+    "dyadic_depth", "recommend", "run", "run_round", "samples_per_arm",
 ]

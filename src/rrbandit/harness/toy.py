@@ -16,6 +16,7 @@ import numpy as np
 from .. import rr
 from ..baselines import spsa
 from ..bandits import GaussianBandit
+from ..intervals import EPSILON
 from ..rng import SeededRng
 from .config import SPSA_KEYS, ConfigError, checked, expand_ints, spsa_config
 from .output import write_csv
@@ -149,9 +150,18 @@ def run_toy(spec):
     if optimizer == "rr":
         # the deepest round, on its full grid, pulls the most per arm: a
         # depth whose count overflows there even at sigma = 1, or else a
-        # sigma whose count does, is refused before any seed
+        # sigma whose count does, is refused before any seed. With no budget
+        # a run also reaches round D itself, refused when its grid holds
+        # more than 2**52 arms, or when D >= 41: round D searches what round
+        # D - 1 kept, about 2**-(D - 1) wide, and past round 40 that is
+        # narrower than EPSILON, which IntervalSet.subtract drops
         cfg = args[0]
         arms = rr.grid_size(cfg.depth, cfg.lipschitz)
+        if not budget and (arms > rr.MAX_ARMS
+                           or 2.0 ** (1 - cfg.depth) < EPSILON):
+            raise ConfigError(
+                f"optimizer.epsilon: unbudgeted, D = {cfg.depth} must be "
+                f"<= 40 and lay <= 2**52 arms ({arms})")
         for key, sigma in (("optimizer.epsilon", 1.0),
                            ("instance.sigma", bandit.sigma)):
             checked(key, rr.samples_per_arm, cfg.depth, cfg.delta, arms, sigma)

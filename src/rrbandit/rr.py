@@ -1,7 +1,8 @@
 """Round-based confidence-interval elimination for 1-d continuous bandits.
 
-Round t lays a uniform grid of ceil(L)*2^(t+3) arms over [0,1], pulls every
-arm still inside the surviving region often enough that an empirical-mean
+Round t's grid is ceil(L)*2^(t+3) uniform arms over [0,1]. The round lays
+only the arms inside the surviving region, counted from the region's span
+edges before any is built, pulls each often enough that an empirical-mean
 confidence interval of half-width 2^-(t+4) holds at level 1 - delta/(2^t n),
 and removes the closed 2^-(t+4) neighborhood of every arm whose empirical
 mean exceeds the round best by more than 12 * 2^-(t+4). After
@@ -20,7 +21,6 @@ a few merged spans instead of one per arm. The excluded set, and every
 bit after it, is the one the per-arm spans give.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Tuple
@@ -30,6 +30,7 @@ import numpy as np
 from .intervals import EPSILON, IntervalSet
 
 REJECT_FACTOR = 12.0  # exclusion threshold in units of the CI half-width
+MAX_ARMS = 2 ** 52  # past this many grid arms, an arm's 2i + 1 is inexact
 
 
 class NoActiveArmsError(RuntimeError):
@@ -55,30 +56,6 @@ def grid_size(t, lipschitz):
     return math.ceil(lipschitz) << (t + 3)
 
 
-def grid_points(t, lipschitz):
-    """Arm grid of round t: ceil(L)*2^(t+3) points, half-spacing off the edges.
-
-    Spacing is 1/(ceil(L)*2^(t+3)) and the first point sits at half that, so
-    every x in [0,1] is within 1/(ceil(L)*2^(t+4)) of some grid point. Points
-    are exact dyadic rationals whenever ceil(L) is a power of two. The
-    array is built once per (t, ceil(L)) and shared, so it is read-only.
-    """
-    if int(t) != t or t < 1:
-        raise ValueError("round index must be a positive integer")
-    if not lipschitz > 0:
-        raise ValueError("lipschitz must be positive")
-    return _grid(int(t), math.ceil(lipschitz))
-
-
-@functools.lru_cache(maxsize=32)
-def _grid(t, ceil_l):
-    count = grid_size(t, ceil_l)
-    k = np.arange(1, count + 1, dtype=np.float64)
-    points = (2.0 * k - 1.0) / (ceil_l * 2.0 ** (t + 4))
-    points.flags.writeable = False
-    return points
-
-
 def samples_per_arm(t, delta, n_arms, sigma=1.0):
     """Pulls per arm for a +-2^-(t+4) CI at level 1 - delta/(2^t n_arms).
 
@@ -100,7 +77,12 @@ def samples_per_arm(t, delta, n_arms, sigma=1.0):
     ell = ci_half_width(t)
     try:  # 2^t * n_arms, sigma^2 or the count itself can overflow a float
         alpha = delta / (2 ** t * int(n_arms))
-        count = 2.0 * max(1.0, sigma) ** 2 * math.log(2.0 / alpha) / ell ** 2
+        level = 2.0 / alpha if alpha else math.inf
+        if level < math.inf:
+            log_level = math.log(level)
+        else:  # a tiny delta: 2 / alpha is past a float, its log is not
+            log_level = math.log(2 ** (t + 1) * int(n_arms)) - math.log(delta)
+        count = 2.0 * max(1.0, sigma) ** 2 * log_level / ell ** 2
         return max(1, math.ceil(count))
     except OverflowError:
         raise ValueError(f"round {t}'s pull count overflows") from None
@@ -109,8 +91,8 @@ def samples_per_arm(t, delta, n_arms, sigma=1.0):
 @dataclass(frozen=True)
 class RRConfig:
     """The learner's settings. A lipschitz whose round-1 grid holds more
-    than 2^52 arms is refused, as 2k - 1 in _grid is inexact past that;
-    deeper rounds are left to the budget, which may stop a run first."""
+    than MAX_ARMS arms is refused; a deeper round whose grid does raises in
+    arm_ranges, unless the budget stops the run first."""
 
     epsilon: float
     delta: float
@@ -122,7 +104,7 @@ class RRConfig:
             raise ValueError("delta must be positive and finite")
         if not 0 < self.lipschitz < math.inf:
             raise ValueError("lipschitz must be positive and finite")
-        if grid_size(1, self.lipschitz) > 2 ** 52:
+        if grid_size(1, self.lipschitz) > MAX_ARMS:
             raise ValueError("lipschitz must be at most 2**48, so that "
                              "round 1 lays at most 2**52 arms")
 
@@ -164,17 +146,49 @@ class RRState:
     budget_exhausted: bool = False
 
 
-def active_mask(surviving, points):
-    """Boolean mask of grid points inside the surviving region (closed, with tolerance)."""
-    edges = []
+def arm_ranges(surviving, t, lipschitz):
+    """Round t's grid arms inside the surviving region: ascending, disjoint
+    index ranges (first, end), end exclusive, and the number of arms.
+
+    Arm i sits at (2i + 1) / denom, denom = ceil(L) * 2^(t+4), and a span
+    (a, b) holds the arms in [a - EPSILON, b + EPSILON), each counted once.
+    The arms below an edge e are those with 2i + 1 < e * denom: an exact
+    count when ceil(L) is a power of two, as both sides are then exact, and
+    otherwise corrected against the arms' own float64 values. A grid of
+    more than MAX_ARMS arms raises ValueError.
+    """
+    ceil_l = math.ceil(lipschitz)
+    size = grid_size(t, ceil_l)
+    if size > MAX_ARMS:
+        raise ValueError(f"round {t}'s grid of {size} arms is past 2**52")
+    denom = ceil_l * 2.0 ** (t + 4)
+    exact = ceil_l & (ceil_l - 1) == 0
+    ranges, n_arms, end = [], 0, 0
     for a, b in surviving.spans:
-        edges.append(a - EPSILON)
-        edges.append(b + EPSILON)
-    bounds = points.searchsorted(edges).tolist()
-    mask = np.zeros(points.shape[0], dtype=bool)
-    for i in range(0, len(bounds), 2):
-        mask[bounds[i]:bounds[i + 1]] = True
-    return mask
+        lo, hi = a - EPSILON, b + EPSILON
+        first, last = math.ceil(lo * denom) // 2, math.ceil(hi * denom) // 2
+        if not exact:
+            first = _arms_below(lo, first, denom)
+            last = _arms_below(hi, last, denom)
+        if first < end:  # the previous span's window holds these arms
+            first = end
+        if last > size:
+            last = size
+        if first < last:
+            ranges.append((first, last))
+            n_arms += last - first
+            end = last
+    return ranges, n_arms
+
+
+def _arms_below(e, i, denom):
+    """The arms below e, from a guess i near it. The grid is taken as
+    unbounded, so the count may fall outside [0, size]; arm_ranges clamps."""
+    while (2.0 * i + 1.0) / denom < e:
+        i += 1
+    while (2.0 * i - 1.0) / denom >= e:
+        i -= 1
+    return i
 
 
 def merged_neighborhoods(centers, radius):
@@ -204,22 +218,22 @@ def run_round(state, bandit, cfg, rng, budget=None):
     from the round's one stream rng.child(t). An arm's draws therefore
     depend on the arms before it in its round, and the seed still fixes
     them all; how the bandit batches the arms never changes a draw. If the
-    round's total pull count would exceed the remaining budget, the state
-    is returned unchanged except for the budget_exhausted flag.
+    round's pulls would exceed the remaining budget, no arm is laid and the
+    state is returned unchanged but for the budget_exhausted flag.
     """
     t = len(state.trace) + 1
-    points = grid_points(t, cfg.lipschitz)
-    mask = active_mask(state.surviving, points)
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        raise NoActiveArmsError(
-            f"round {t}: no grid point inside the surviving region")
-    n_t = samples_per_arm(t, cfg.delta, idx.size, bandit.sigma)
-    cost = n_t * idx.size
+    ranges, n_active = arm_ranges(state.surviving, t, cfg.lipschitz)
+    if n_active == 0:
+        raise NoActiveArmsError(f"round {t}: no arm in the surviving region")
+    n_t = samples_per_arm(t, cfg.delta, n_active, bandit.sigma)
+    cost = n_t * n_active
     if budget is not None and state.total_samples + cost > budget:
         return replace(state, budget_exhausted=True)
 
-    locations = points[idx]
+    locations = np.concatenate([  # each arm's 2i + 1, then the grid's formula
+        np.arange(2 * first + 1, 2 * end, 2, dtype=np.float64)
+        for first, end in ranges])
+    locations /= math.ceil(cfg.lipschitz) * 2.0 ** (t + 4)
     values = bandit.sample_means(locations, n_t, rng.child(t))
 
     best_j = int(np.argmin(values))  # ties resolve to the smallest location
@@ -230,7 +244,7 @@ def run_round(state, bandit, cfg, rng, budget=None):
     excluded = merged_neighborhoods(locations[reject], radius)
     surviving = state.surviving.subtract(excluded)
     total = state.total_samples + cost
-    record = RoundRecord(t, int(idx.size), locations, values, best, total)
+    record = RoundRecord(t, n_active, locations, values, best, total)
     return RRState(surviving, total, state.trace + (record,), False)
 
 

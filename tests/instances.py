@@ -1,10 +1,13 @@
-"""What only the tests use: random bound instances, small named graphs and
-the reference pull ledger."""
+"""What only the tests use: random bound instances, small named graphs,
+the reference pull ledger and the reference round grid."""
+
+import math
 
 import numpy as np
 
 from rrbandit.bandits import Bandit
 from rrbandit.bounds import BoundInstance
+from rrbandit.intervals import EPSILON
 from rrbandit.qsim import Graph
 
 
@@ -64,3 +67,35 @@ def complete_graph(n):
 
 def path_graph(n):
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def grid_points(t, lipschitz):
+    """Round t's whole grid: ceil(L)*2^(t+3) points, half-spacing off the edges.
+
+    Spacing is 1/(ceil(L)*2^(t+3)) and the first point sits at half that, so
+    every x in [0,1] is within 1/(ceil(L)*2^(t+4)) of some grid point. Points
+    are exact dyadic rationals whenever ceil(L) is a power of two. The
+    reference for the arms a round lays: rr.run_round lays only those
+    inside the surviving region, never the whole grid.
+    """
+    if int(t) != t or t < 1:
+        raise ValueError("round index must be a positive integer")
+    if not lipschitz > 0:
+        raise ValueError("lipschitz must be positive")
+    ceil_l = math.ceil(lipschitz)
+    k = np.arange(1, (ceil_l << (int(t) + 3)) + 1, dtype=np.float64)
+    return (2.0 * k - 1.0) / (ceil_l * 2.0 ** (t + 4))
+
+
+def active_mask(surviving, points):
+    """Boolean mask of sorted points inside the surviving region: those at
+    or above a span's a - EPSILON and below its b + EPSILON."""
+    edges = []
+    for a, b in surviving.spans:
+        edges.append(a - EPSILON)
+        edges.append(b + EPSILON)
+    bounds = points.searchsorted(edges).tolist()
+    mask = np.zeros(points.shape[0], dtype=bool)
+    for i in range(0, len(bounds), 2):
+        mask[bounds[i]:bounds[i + 1]] = True
+    return mask

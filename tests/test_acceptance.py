@@ -25,7 +25,7 @@ from rrbandit.qsim.statevector import (apply_cz, apply_hadamard, apply_phase,
                                        probabilities, zero_state)
 from rrbandit.rng import SeededRng
 
-from instances import complete_graph, random_unimodal
+from instances import active_mask, complete_graph, random_unimodal
 
 EPS_PAC = 2.0 ** -5
 DELTA_PAC = 0.1
@@ -163,7 +163,7 @@ def test_criterion_4_exclusion_soundness(record_criterion):
         rng = SeededRng(0)
         for _ in range(cfg.depth):
             state = rr.run_round(state, bandit, cfg, rng)
-            if not rr.active_mask(state.surviving, np.array([x_star]))[0]:
+            if not active_mask(state.surviving, np.array([x_star]))[0]:
                 violations += 1
     ok = violations == 0
     record_criterion(

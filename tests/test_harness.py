@@ -1,13 +1,17 @@
 """Spec parsing, runners, CSV emission, and the command-line surface."""
 
+import csv
 import math
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from rrbandit import bounds
+from rrbandit import bounds, rr
 from rrbandit.baselines import PowellBrentConfig, SpsaConfig, spsa
 from rrbandit.harness import (ConfigError, RunSpec, aggregate, build_instance,
                               load_spec, parse_overrides, run_bounds,
@@ -24,7 +28,9 @@ from rrbandit.lines import DriverConfig, powell_driver
 from rrbandit.qsim import PqcBandit, QaoaBandit, costs, erdos_renyi
 from rrbandit.qsim.costs import _ShotBandit
 from rrbandit.rng import SeededRng
-from rrbandit.rr import RRConfig, grid_points
+from rrbandit.rr import RRConfig
+
+from instances import grid_points
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -755,6 +761,13 @@ def test_cli_sizes_take_ranges_in_any_order(tmp_path, capsys):
     ["toy", "--seeds", "0", "--set", f"optimizer.epsilon={2.0 ** -503!r}"],
     ["toy", "--seeds", "0", "--budget", "100000",
      "--set", f"optimizer.epsilon={2.0 ** -511!r}"],
+    # an unbudgeted toy rr depth whose last round cannot be laid: round 41
+    # searches a region narrower than EPSILON, at any noise scale, and
+    # round 40 at L = 1000 a grid of more than 2**52 arms
+    *(["toy", "--seeds", "0", "--set", f"optimizer.epsilon={2.0 ** -41!r}",
+       "--set", f"instance.sigma={sigma}"] for sigma in (0, 1, 6)),
+    ["toy", "--seeds", "0", "--set", f"optimizer.epsilon={2.0 ** -40!r}",
+     "--set", "optimizer.lipschitz=1000"],
 ])
 def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
     """A value an optimizer config or an instance rejects, or a key its
@@ -789,6 +802,11 @@ def test_cli_rejected_config_values_exit_two(argv, tmp_path, capsys):
      "optimizer.epsilon"),
     (["toy", "--seeds", "0", "--budget", "100000",
       "--set", f"optimizer.epsilon={2.0 ** -511!r}"], "optimizer.epsilon"),
+    *((["toy", "--seeds", "0", "--set", f"optimizer.epsilon={2.0 ** -41!r}",
+        "--set", f"instance.sigma={sigma}"], "optimizer.epsilon")
+      for sigma in (0, 1, 6)),
+    (["toy", "--seeds", "0", "--set", f"optimizer.epsilon={2.0 ** -40!r}",
+      "--set", "optimizer.lipschitz=1000"], "optimizer.epsilon"),
 ])
 def test_cli_refusals_name_the_key(argv, key, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
@@ -809,13 +827,55 @@ def test_cli_accepts_a_deep_epsilon_that_a_budget_stops(tmp_path):
      "--set", f"optimizer.epsilon={2.0 ** -502!r}"],
     ["qaoa", "--sizes", "3", "--seeds", "0",
      "--set", "optimizer.epsilon_line=5e-324"],
-], ids=["toy-D502", "qaoa-line-D1074"])
+    ["toy", "--seeds", "0", "--set", f"optimizer.epsilon={2.0 ** -40!r}"],
+], ids=["toy-D502", "qaoa-line-D1074", "toy-D40-unbudgeted"])
 def test_cli_accepts_the_deepest_epsilons_it_can_count(argv, tmp_path):
     """At the default delta and lipschitz, round 502 is the deepest whose
     pull count per arm a float holds on the toy's full grid, and a budget
     stops the run long before it. A line search at the default d_max runs
-    round 1 alone, so even the subnormal epsilon 2**-1074 runs."""
+    round 1 alone, so even the subnormal epsilon 2**-1074 runs. With no
+    budget, the toy runs every round through 40, each laying only the
+    arms in its surviving region."""
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["toy", "--seeds", "0", "--set", "optimizer.delta=5e-324"],
+    ["toy", "--seeds", "0", "--set", "optimizer.delta=1e-310"],
+    ["qaoa", "--sizes", "3", "--seeds", "0", "--set", "optimizer.delta=5e-324"],
+    ["qaoa", "--sizes", "3", "--seeds", "0", "--set", "optimizer.delta=1e-310"],
+], ids=["toy-5e-324", "toy-1e-310", "qaoa-5e-324", "qaoa-1e-310"])
+def test_cli_accepts_a_tiny_delta(argv, tmp_path):
+    """A delta so small that delta / (2^t n_arms) underflows, or its
+    reciprocal overflows, still has a finite pull count."""
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["toy", "--seeds", "0", "--budget", "1000",
+      "--set", "optimizer.lipschitz=1e8"], "budget"),
+    (["qaoa", "--sizes", "3", "--seeds", "0",
+      "--set", "optimizer.lipschitz=1e9"], "censored"),
+], ids=["toy-L1e8", "qaoa-L1e9"])
+def test_cli_counts_a_large_grid_before_laying_it(argv, status, tmp_path):
+    """Round 1's grid holds 1.6e9 arms at toy L = 1e8, and a line's holds
+    1.6e10 at L = 1e9: a round counts its arms and runs the budget test
+    before it lays any, so both runs end under a 1 GiB address space."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rr.__file__)))
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "rrbandit.harness.cli", *argv,
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120, preexec_fn=_limit_address_space)
+    assert done.returncode == 0, done.stderr
+    with open(out / "runs.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == [status]
 
 
 QAOA_REJECT = ["qaoa", "--sizes", "4", "--seeds", "0..1", "--budget", "300000",

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rrbandit.intervals import EPSILON, IntervalSet
-from rrbandit.rr import active_mask
+
+from instances import active_mask
 
 
 def spans(iset):

@@ -11,7 +11,7 @@ from rrbandit.lines import (DriverConfig, SliceBandit, powell_driver,
                             random_direction_driver, rr_line_search)
 from rrbandit.rng import SeededRng
 
-from instances import CountingBandit
+from instances import CountingBandit, grid_points
 
 
 def quadratic(center):
@@ -126,7 +126,7 @@ def test_line_search_returns_s_zero_only_with_the_incumbent_value():
     is worse, noisy and noise-free, at depths 1 and 2."""
     for t in range(1, 9):
         for lipschitz in (0.5, 1.0, 3.0, 7.5):
-            assert rr.grid_points(t, lipschitz).min() > 0.0
+            assert grid_points(t, lipschitz).min() > 0.0
     root = SeededRng(30)
     for case in range(60):
         rng = root.child(case)

@@ -12,11 +12,35 @@ from rrbandit.lines import SliceBandit
 from rrbandit.qsim import PqcBandit
 from rrbandit.rng import SeededRng
 
+from instances import active_mask, grid_points
+
 
 # ---------------------------------------------------------------- grids
 
+class _FlatBandit:
+    """Noise-free zero means: a round keeps every arm it lays."""
+
+    sigma = 0.0
+
+    def sample_means(self, points, n, rng):
+        return np.zeros(len(points))
+
+
+def _laid(surviving, t, lips):
+    """The arms run_round lays in round t over the surviving region. A
+    state's next round is len(trace) + 1, so t - 1 placeholders stand for
+    the earlier rounds' records."""
+    state = rr.RRState(surviving, 0, (None,) * (t - 1))
+    cfg = rr.RRConfig(0.5, 0.1, lips)
+    state = rr.run_round(state, _FlatBandit(), cfg, SeededRng(t))
+    return state.trace[-1].locations
+
+
+UNIT = IntervalSet.unit()
+
+
 def test_round1_grid_unit_lipschitz():
-    pts = rr.grid_points(1, 1.0)
+    pts = _laid(UNIT, 1, 1.0)
     assert pts.shape == (16,)
     assert pts[0] == 1.0 / 32.0
     assert pts[-1] == 31.0 / 32.0
@@ -24,23 +48,23 @@ def test_round1_grid_unit_lipschitz():
 
 
 def test_round2_grid_doubles():
-    pts = rr.grid_points(2, 1.0)
+    pts = _laid(UNIT, 2, 1.0)
     assert pts.shape == (32,)
     assert pts[0] == 1.0 / 64.0
 
 
 def test_grid_scales_with_ceil_lipschitz():
-    pts = rr.grid_points(1, 3.0)
+    pts = _laid(UNIT, 1, 3.0)
     assert pts.shape == (48,)
     assert pts[0] == pytest.approx(1.0 / 96.0)
     # fractional constants round up
-    assert rr.grid_points(1, 2.2).shape == (48,)
+    assert _laid(UNIT, 1, 2.2).shape == (48,)
 
 
 def test_grid_covers_domain_at_half_spacing():
     for t in (1, 2, 3):
         for lips in (1.0, 2.0, 3.7):
-            pts = rr.grid_points(t, lips)
+            pts = _laid(UNIT, t, lips)
             xs = np.linspace(0.0, 1.0, 1001)
             dist = np.min(np.abs(xs[:, None] - pts[None, :]), axis=1)
             assert dist.max() <= 1.0 / (math.ceil(lips) * 2.0 ** (t + 4)) + 1e-12
@@ -48,23 +72,83 @@ def test_grid_covers_domain_at_half_spacing():
 
 def test_grid_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        rr.grid_points(0, 1.0)
+        grid_points(0, 1.0)
     with pytest.raises(ValueError):
-        rr.grid_points(1, 0.0)
+        grid_points(1, 0.0)
 
 
 @pytest.mark.parametrize("lips", [1.0, 2.0, 2.2, 3.0])
 def test_cached_grid_is_bitwise_the_formula_and_read_only(lips):
+    """The whole grid, as a round lays it on the unit interval and as the
+    reference builds it, is bitwise the formula (2k - 1) / denom."""
     ceil_l = math.ceil(lips)
     for t in range(1, 9):
         k = np.arange(1, (ceil_l << (t + 3)) + 1, dtype=np.float64)
         expect = (2.0 * k - 1.0) / (ceil_l * 2.0 ** (t + 4))
-        pts = rr.grid_points(t, lips)
-        assert pts.dtype == np.float64
-        assert pts.tobytes() == expect.tobytes()
-        assert rr.grid_points(t, lips) is pts
-        with pytest.raises(ValueError):
-            pts[0] = 0.5
+        for pts in (_laid(UNIT, t, lips), grid_points(t, lips)):
+            assert pts.dtype == np.float64
+            assert pts.tobytes() == expect.tobytes()
+
+
+def _random_region(gen, points):
+    """Up to three spans whose edges are uniform, or on a grid point, at
+    EPSILON either side of one, and up to three ulps off each of those."""
+    edges = []
+    for _ in range(2 * int(gen.integers(0, 4))):
+        if gen.random() < 0.25:
+            edge = float(gen.uniform(-0.01, 1.01))
+        else:
+            edge = float(points[gen.integers(points.size)])
+            edge += (0.0, EPSILON, -EPSILON)[gen.integers(3)]
+            toward = (-math.inf, math.inf)[gen.integers(2)]
+            for _ in range(int(gen.integers(0, 4))):
+                edge = math.nextafter(edge, toward)
+        edges.append(edge)
+    edges.sort()
+    return IntervalSet(zip(edges[::2], edges[1::2]))
+
+
+def test_round_lays_the_reference_arms_bytewise():
+    """A round lays, bit for bit, the arms of its whole grid that the
+    reference mask keeps, for 40 random regions at each depth 1..12 and
+    lipschitz, whether or not ceil(L) is a power of two; with no such arm
+    it raises NoActiveArmsError."""
+    gen = np.random.default_rng(27)
+    empty = 0
+    for lips in (0.5, 1.0, 2.0, 2.2, 3.0, 5.5, 6.0, 7.0, 13.0, 100.5):
+        for t in range(1, 13):
+            points = grid_points(t, lips)
+            for _ in range(40):
+                surviving = _random_region(gen, points)
+                expect = points[active_mask(surviving, points)]
+                if expect.size == 0:
+                    empty += 1
+                    with pytest.raises(rr.NoActiveArmsError):
+                        _laid(surviving, t, lips)
+                    continue
+                got = _laid(surviving, t, lips)
+                assert got.dtype == np.float64
+                assert got.tobytes() == expect.tobytes()
+    assert 0 < empty < 4800 // 2
+
+
+def test_round_lays_a_2_to_the_52_grid_exactly_and_refuses_past_it():
+    """Round 48 at L = 2 has 2^52 arms, the most whose numerators 2k - 1
+    are exact: a narrow region's arms there are consecutive grid points,
+    the first at or above its left edge less EPSILON. Round 49, with 2^53,
+    raises ValueError before it lays or pulls anything."""
+    assert rr.grid_size(48, 2.0) == 2 ** 52
+    a = 0.3
+    pts = _laid(IntervalSet([(a, a + 1e-11)]), 48, 2.0)
+    denom = 2.0 ** 53
+    numerators = pts * denom
+    assert np.array_equal(numerators, np.round(numerators))
+    assert np.all(numerators % 2 == 1)
+    assert np.all(np.diff(numerators) == 2.0)
+    assert pts[0] >= a - EPSILON > (numerators[0] - 2.0) / denom
+    assert pts[-1] < a + 1e-11 + EPSILON <= (numerators[-1] + 2.0) / denom
+    with pytest.raises(ValueError, match="2\\*\\*52"):
+        _laid(IntervalSet([(a, a + 1e-11)]), 49, 2.0)
 
 
 # ----------------------------------------------- exclusion and masks
@@ -90,7 +174,7 @@ def test_merged_neighborhoods_are_the_per_arm_spans(lips):
     tolerance would hide a one-ulp difference."""
     gen = np.random.default_rng(7)
     for t in range(1, 9):
-        points = rr.grid_points(t, lips)
+        points = grid_points(t, lips)
         radius = rr.ci_half_width(t)
         masks = [np.zeros(points.size, bool), np.ones(points.size, bool)]
         masks += [gen.random(points.size) < p for p in (0.05, 0.3, 0.7, 0.95)]
@@ -127,7 +211,7 @@ def test_merged_neighborhoods_split_exactly_past_epsilon():
 def test_active_mask_is_the_per_span_search(lips):
     gen = np.random.default_rng(11)
     for t in range(1, 9):
-        points = rr.grid_points(t, lips)
+        points = grid_points(t, lips)
         radius = rr.ci_half_width(t)
         cases = [IntervalSet(), IntervalSet.unit()]
         for p in (0.1, 0.5, 0.9):
@@ -141,8 +225,11 @@ def test_active_mask_is_the_per_span_search(lips):
                 cases.append(IntervalSet([(0.0, float(e))]))
                 cases.append(IntervalSet([(float(e), 1.0)]))
         for surviving in cases:
-            got = rr.active_mask(surviving, points)
-            assert got.tobytes() == _per_span_mask(surviving, points).tobytes()
+            mask = _per_span_mask(surviving, points)
+            assert active_mask(surviving, points).tobytes() == mask.tobytes()
+            if mask.any():  # and a round lays exactly the masked arms
+                got = _laid(surviving, t, lips)
+                assert got.tobytes() == points[mask].tobytes()
 
 
 # ------------------------------------------------------- sample counts
@@ -186,6 +273,24 @@ def test_samples_per_arm_overflows_past_the_deepest_countable_round():
     for t in (503, 511):
         with pytest.raises(ValueError, match="overflows"):
             rr.samples_per_arm(t, 0.1, rr.grid_size(t, 2.0))
+
+
+def test_samples_per_arm_takes_a_tiny_delta_in_logs():
+    """At delta = 5e-324 the level delta / (2^t n_arms) underflows to 0,
+    and at 1e-310 its 2 / alpha overflows; the count is still finite, from
+    log(2^(t+1) n_arms) - log(delta). A delta whose 2 / alpha is a float
+    keeps the one-log count."""
+    ell = rr.ci_half_width(1)
+    for delta in (5e-324, 1e-310):
+        alpha = delta / (2 * 16)
+        assert alpha == 0.0 or 2.0 / alpha == math.inf
+        expect = math.ceil(
+            2.0 * (math.log(2 ** 2 * 16) - math.log(delta)) / ell ** 2)
+        assert rr.samples_per_arm(1, delta, 16) == expect
+    assert rr.samples_per_arm(1, 1e-300, 16) == math.ceil(
+        2.0 * math.log(2.0 / (1e-300 / 32)) / ell ** 2)
+    deep = rr.samples_per_arm(40, 5e-324, rr.grid_size(40, 2.0), 6.0)
+    assert 0 < deep < math.inf
 
 
 def test_dyadic_depth():
@@ -329,7 +434,7 @@ def test_full_run_zero_noise_wedge():
     for _ in range(5):
         step = rr.run_round(step, _wedge_bandit(), cfg, SeededRng(0))
         measures.append(step.surviving.measure())
-        assert rr.active_mask(step.surviving, np.array([0.5]))[0]
+        assert active_mask(step.surviving, np.array([0.5]))[0]
     assert all(m1 >= m2 for m1, m2 in zip(measures, measures[1:]))
     assert step.surviving.spans == state.surviving.spans
 
@@ -363,7 +468,7 @@ def test_config_validation():
 def test_grid_size_counts_the_grid():
     for lips in (0.5, 1.0, 2.2, 3.0):
         for t in range(1, 6):
-            assert rr.grid_size(t, lips) == rr.grid_points(t, lips).size
+            assert rr.grid_size(t, lips) == _laid(UNIT, t, lips).size
 
 
 def test_config_refuses_a_round1_grid_past_2_to_the_52():

@@ -57,7 +57,11 @@ def test_traced_wide_pass_matches_the_untraced_one(tmp_path, workload):
 
 
 def test_traced_toy_pass_matches_the_untraced_one(tmp_path):
-    assert traced_pass(tmp_path, TOY).counters["rr.rounds"] > 0
+    """The traced rounds' work is exact for a seed: 5 runs of 7 rounds,
+    and their arms as each round's record counts them."""
+    counters = traced_pass(tmp_path, TOY).counters
+    assert counters["rr.rounds"] == 35
+    assert counters["rr.arms"] == 1584
 
 
 @pytest.mark.parametrize("name, seed", [
