@@ -15,8 +15,10 @@ class Bandit:
     from the one stream rng in point order and returns the k averages in a
     float64 array. Every pull of a point shares it, so sources draw each
     average from a sufficient statistic (a Gaussian mean, a shot
-    histogram) rather than pull by pull, and a point's draws depend on the
-    points before it. sample_mean(x, n, rng) is the draw on [x].
+    histogram) rather than pull by pull. A driver run hands every call the
+    run's one stream, so a point's draws depend on every draw before it in
+    its run, and the seed still fixes them all. sample_mean(x, n, rng) is
+    the draw on [x].
 
     sigma is the noise scale: one pull minus its mean is
     sigma-sub-Gaussian. Elimination scales its pull counts by it, so a

@@ -127,7 +127,7 @@ OPTIMIZERS = {"rr": (_rr_setup, _run_rr), "spsa": (_spsa_setup, _run_spsa)}
 def run_toy(spec):
     """Run the staircase benchmark for every seed; write runs and trace CSVs.
 
-    Returns a dict with the output paths and the per-seed summary rows.
+    Returns a dict with the output paths; the per-seed rows are in runs.csv.
     """
     run = spec.fields("run", optimizer=str, seeds=str, budget=int, out=str,
                       workers=int)
@@ -186,5 +186,4 @@ def run_toy(spec):
                           RUN_HEADER, run_rows)
     trace_path = write_csv(os.path.join(out_dir, "trace.csv"),
                            TRACE_HEADER, trace_rows)
-    return {"runs": runs_path, "trace": trace_path, "rows": run_rows,
-            "x_star": X_STAR}
+    return {"runs": runs_path, "trace": trace_path}

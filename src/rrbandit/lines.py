@@ -6,6 +6,11 @@ coordinate directions with classical direction-set updates (powell_driver),
 or uniformly random directions with an improvement or nearest-probe
 acceptance rule (random_direction_driver). The incumbent value is carried
 between steps as the line's free observation at s = 0.
+
+A driver run draws everything from its one stream rng, in order: the start
+estimate, then each step's direction (random_direction_driver) and each
+line's rounds, whose arms come in grid order. So an arm's draws depend on
+every draw before it in its run, and the seed still fixes them all.
 """
 
 import math
@@ -127,7 +132,8 @@ def rr_line_search(line, cfg, rng, incumbent_value, budget=None):
     depth-1 CI lower bound undercuts the incumbent by at least one CI
     length. The incumbent value stands in for an observation at s = 0 and
     wins ties, so a flat line returns s_hat = 0. Returns the empirical
-    minimizer over the incumbent and every probed grid arm.
+    minimizer over the incumbent and every probed grid arm. Every round
+    draws in order from rng, the driver run's one stream.
     """
     line_cfg = rr.RRConfig(cfg.epsilon_line, cfg.delta,
                            cfg.lipschitz * line.direction_norm)
@@ -152,8 +158,9 @@ def rr_line_search(line, cfg, rng, incumbent_value, budget=None):
 
 
 def _start_result(bandit, start, cfg, rng):
-    """Validate the start point and estimate its value once; the result's
-    value is NaN when even that is unaffordable."""
+    """Validate the start point and estimate its value once, the run's
+    first draw from rng; the result's value is NaN when even that is
+    unaffordable."""
     p = np.asarray(start, dtype=np.float64).copy()
     if p.ndim != 1:
         raise ValueError("start point must be a 1-d vector")
@@ -164,7 +171,7 @@ def _start_result(bandit, start, cfg, rng):
                             bandit.sigma)
     if cfg.budget is not None and n0 > cfg.budget:
         return DriverResult(p, math.nan, 0, budget_exhausted=True)
-    value = bandit.sample_mean(p, n0, rng.child(0))
+    value = bandit.sample_mean(p, n0, rng)
     return DriverResult(p, value, n0)
 
 
@@ -172,7 +179,8 @@ def powell_driver(bandit, start, cfg, rng, stop_condition=None):
     """Direction-set driver: line searches cycle the direction set, and
     after each sweep the direction of largest decrease is replaced by the
     normalized sweep displacement. A line result moves the point only when
-    it improves the incumbent estimate.
+    it improves the incumbent estimate. Every line draws from rng, after
+    the start estimate and the lines before it.
     """
     res = _start_result(bandit, start, cfg, rng)
     d = res.point.shape[0]
@@ -192,7 +200,7 @@ def powell_driver(bandit, start, cfg, rng, stop_condition=None):
             sl = SliceBandit(bandit, tuple(res.point), directions[i],
                              cfg.wrap)
             remaining = None if cfg.budget is None else cfg.budget - res.samples_used
-            line = rr_line_search(sl, cfg, rng.child(k), res.value,
+            line = rr_line_search(sl, cfg, rng, res.value,
                                   budget=remaining)
             res.samples_used += line.samples_used
             accepted = line.g_hat < res.value
@@ -223,7 +231,8 @@ def random_direction_driver(bandit, start, cfg, rng, stop_condition=None):
     probed arm beats it, so a step that is not accepted leaves the point
     where it was. acceptance="aim": the move is accepted iff the new
     estimate beats the previous line's estimate at the nearest probed
-    location (first step: beats the incumbent).
+    location (first step: beats the incumbent). Each step draws its
+    direction and then its line from rng, after every step before it.
     """
     res = _start_result(bandit, start, cfg, rng)
     d = res.point.shape[0]
@@ -232,14 +241,14 @@ def random_direction_driver(bandit, start, cfg, rng, stop_condition=None):
     prev_locations = None
     prev_values = None
     for k in range(1, cfg.max_steps + 1):
-        gauss = rng.child(k, 0).standard_normal(d)
+        gauss = rng.standard_normal(d)
         norm = float(np.linalg.norm(gauss))
         if norm == 0.0:  # pragma: no cover - probability zero
             continue
         direction = tuple(gauss / norm)
         sl = SliceBandit(bandit, tuple(res.point), direction, cfg.wrap)
         remaining = None if cfg.budget is None else cfg.budget - res.samples_used
-        line = rr_line_search(sl, cfg, rng.child(k, 2), res.value,
+        line = rr_line_search(sl, cfg, rng, res.value,
                               budget=remaining)
         res.samples_used += line.samples_used
         if line.budget_exhausted:

@@ -4,10 +4,8 @@ Every stream is numpy's PCG64 seeded from np.random.SeedSequence(seed,
 spawn_key=key), so its bits depend only on the root seed and its integer
 key path; child(*key) extends the path by key. A SeededRng builds its
 generator on its first draw: a stream that only spawns children never
-seeds one. An elimination round draws all of its arms, in arm order,
-from one such stream (see rrbandit.rr). A copy (copy.copy, copy.deepcopy
-or pickle) has a generator of its own and draws what the original would
-draw next.
+seeds one. A copy (copy.copy, copy.deepcopy or pickle) has a generator of
+its own and draws what the original would draw next.
 """
 
 import copy
@@ -20,7 +18,7 @@ class SeededRng:
 
     child(*key) derives an independent stream whose output depends only on
     the root seed and the accumulated integer key, never on draw order, so
-    per-round and per-run streams can be handed out in any schedule
+    per-run and per-iteration streams can be handed out in any schedule
     (including from worker processes) without losing reproducibility.
     Generator methods (standard_normal, random, integers, ...) are
     available directly.

@@ -11,8 +11,9 @@ which locates the minimizer to within epsilon with probability 1 - delta
 for unimodal L-Lipschitz means under sigma-sub-Gaussian noise (pull
 counts scale by max(1, sigma)^2, taken from the bandit's sigma).
 
-Round t draws all of its pulls from one stream, rng.child(t), arm after
-arm in grid order, so the seed fixes every draw.
+A round draws its arms in grid order from the run's one stream, so an
+arm's draws depend on every draw before it in its run, and the seed still
+fixes them all.
 
 The rejected arms' neighborhoods share the round's radius and come in
 grid order, so a round merges them in one pass (merged_neighborhoods),
@@ -215,11 +216,12 @@ def run_round(state, bandit, cfg, rng, budget=None):
 
     The surviving grid arms are pulled in one sample_means call on their
     (k,) float64 array of locations, which draws every arm, in grid order,
-    from the round's one stream rng.child(t). An arm's draws therefore
-    depend on the arms before it in its round, and the seed still fixes
-    them all; how the bandit batches the arms never changes a draw. If the
-    round's pulls would exceed the remaining budget, no arm is laid and the
-    state is returned unchanged but for the budget_exhausted flag.
+    from rng, the run's one stream, after every draw before the round. An
+    arm's draws therefore depend on every draw before it in its run, and
+    the seed still fixes them all; how the bandit batches the arms never
+    changes a draw. If the round's pulls would exceed the remaining
+    budget, no arm is laid, nothing is drawn, and the state is returned
+    unchanged but for the budget_exhausted flag.
     """
     t = len(state.trace) + 1
     ranges, n_active = arm_ranges(state.surviving, t, cfg.lipschitz)
@@ -234,7 +236,7 @@ def run_round(state, bandit, cfg, rng, budget=None):
         np.arange(2 * first + 1, 2 * end, 2, dtype=np.float64)
         for first, end in ranges])
     locations /= math.ceil(cfg.lipschitz) * 2.0 ** (t + 4)
-    values = bandit.sample_means(locations, n_t, rng.child(t))
+    values = bandit.sample_means(locations, n_t, rng)
 
     best_j = int(np.argmin(values))  # ties resolve to the smallest location
     best = ArmEstimate(t, float(locations[best_j]), float(values[best_j]), n_t)
@@ -258,7 +260,8 @@ def recommend(state):
 
 
 def run(bandit, cfg, rng, budget=None):
-    """Full elimination run of D rounds, or until the budget runs out.
+    """Full elimination run of D rounds, or until the budget runs out,
+    every round drawing in order from the one stream rng.
 
     Returns (location, state); location is None when the budget did not
     even cover round 1.

@@ -88,21 +88,21 @@ GOLDEN = {
     },
     "pqc-rr_aim": {
         "aggregate.csv":
-            "2c83921bb599a8df594fdb1a6f13dc95f011ff4af5716e5cce07edddbb464e2a",
+            "910b96df39492a77a3005b9fff1784a86674ad90f7a1dee895bb3e1737e0273f",
         "runs.csv":
-            "8cf56ad066595b5c02177e063ab24ede7e2d971ad993956eff6d8d1b5428909f",
+            "85ca7eb2e47afbd7956053b6e726852c4e0a31874e97f784d2b052dfa5ae4a3b",
     },
     "pqc-rr_aim-deep": {
         "aggregate.csv":
-            "d961313ddc1900684817d9df22d5606ba3108013d7a11c70331cae5c6fac7890",
+            "6a28450c10c504d1eb9fe55066a745b0ecd4e8423aac4ea518ea01b150330f9c",
         "runs.csv":
-            "b284a09f6592a9c3447dffaff548c66ef0b4bf5ba3c21788d1be871db84497fa",
+            "90ae7e5069d808f45364c0b2bcd93b28ef184c1231c446e256bf087f925a84c9",
     },
     "pqc-rr_reject": {
         "aggregate.csv":
-            "c2ed84212b54fb270c368cab281ce73fb99cf54a6d1220e1cbfc0913013c2faf",
+            "5a24a5adfc9ec423398f1b697041f04c7129bf5ba990a4f969af09a1247461c1",
         "runs.csv":
-            "2edade0eb510db75f7b68063699244bce34b53c8ae295e523b7345b9e1ee6377",
+            "cd4885b3ce13916c944bbbb188a942ff99605fb96fafff8da233f0785b2e0c93",
     },
     "pqc-spsa-l1": {
         "aggregate.csv":
@@ -124,33 +124,33 @@ GOLDEN = {
     },
     "qaoa-rr_powell": {
         "aggregate.csv":
-            "5a5296746ce47cd90b17bd4f32a8cbad05e712a8aad39fb7707db428396ff201",
+            "e78a4dd48eb29dd56ea78ef5c76c037845654373d4e122fd682f4067f09fb24e",
         "runs.csv":
-            "c202be2bdabcf40df02dd3f43edfc71ef90d58c58191334a5911c2b96abd0a2f",
+            "b73f48f4b9c1fbfb2af73ddd31c1a3e683c5947a93811763404a61deac023293",
     },
     "qaoa-rr_powell-small": {
         "aggregate.csv":
-            "4d094ebecbf31afffb5afec31d301c53f025c53306bd8f6b08ff771cab48cbef",
+            "015e4b457ae217799ece41c1e014ac0a62e935f5bc9f56dd7d3d01e4fcd8d971",
         "runs.csv":
-            "9de047d731d4bd56b28e5d0fc77990bf3509ab0565304be26684af6865b72f99",
+            "71e040879d07bc4022efb01fb49238d246721132e7f3654a2d49116beabfdb32",
     },
     "qaoa-rr_powell-truncated": {
         "aggregate.csv":
             "d04a063c1ac159fd9c6d894d2e7a0107671bb38feb75685b37573695cde871bc",
         "runs.csv":
-            "8519981a1a26ac874fec80aa30d6a3fde5bac10b97fb3aca1a7ba875a9106a8c",
+            "ffd3fd530c2bc15f6644d7fbaeb9989129c172ee2695539dce5dbf49367d2365",
     },
     "qaoa-rr_powell-wide": {
         "aggregate.csv":
             "419ce1f8b4585f0c347d997dc3361930d6b8f44a8437a67ae106dd7004044aed",
         "runs.csv":
-            "cf34be0e16c7d519db49b8ad950c175deb736c51a9989b579cdfeab288c7225d",
+            "e649e7056a05a01c4b0649b02b31db4cb7395717e40af4bb50690765729f4acd",
     },
     "qaoa-rr_reject-deep": {
         "aggregate.csv":
-            "89aa5e523ac1c662e1694b31d4ba5b550f820f18059f3964dfea78eecc6b68e1",
+            "19db0df403bfe7ad2eebace93d7a40fabf542e98328b0ee1c2323b23bb54d04e",
         "runs.csv":
-            "ebe1a6ac66ebebfcdbf32e6d820bdf97fc834fc160a54dc3f0eca3a1658ed46c",
+            "4e576e0738dfbd08062ce49b0932860ad12d6fcb5f621c0aedbb9e2f4f429961",
     },
     "qaoa-spsa": {
         "aggregate.csv":
@@ -160,21 +160,21 @@ GOLDEN = {
     },
     "toy-rr": {
         "runs.csv":
-            "f33135fc0d4f3432fec30890fe94dcc9111b907810e41025008406b09488ad52",
+            "dd1909dc83e43ed41f8da45b51f8fc9837d97410a742f9f46495838502c693d9",
         "trace.csv":
-            "13a34bc68939936b308f163f6484a31f0ca0f8d0eebe6c0598334fd2e4d31d42",
+            "9acc00cc97e560cb3bed432e0b3758c6cc203a27fc8f154b82a1458925fb075e",
     },
     "toy-rr-l1": {
         "runs.csv":
-            "72e54ac2b1021f1b80673ed321b2dd14c7d95c4a994394d70c126ff8ea2a0876",
+            "1d15440da3e272df82fc0e79b85888dd72a56147bca7258cf17aa718bf15d525",
         "trace.csv":
-            "6bfd86577c36193025791e353df76d2b9578b7154f906a08e80f3195ce731a76",
+            "cad765a2d3b71d24777b7060e9f56e448482e1fbe4c46612c32323194c168978",
     },
     "toy-rr-l3": {
         "runs.csv":
-            "5e344a2dd9f1d8f41ed519a1857bfed377cf18cad1db57007c94fabf0f25a382",
+            "6aeafe05071c85d6ccae8fe9eb1f67cc96e159ee06418e7d5cc45fed05ec41d9",
         "trace.csv":
-            "77b7084ad483563688d6bac1e14af216f031fa340d15dc87e5e78e57f91190de",
+            "342a210ea8543a7eff661d30570bf162fbd457a94eb47bf6e115729a2222e3b5",
     },
     "toy-spsa": {
         "runs.csv":

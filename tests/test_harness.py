@@ -326,11 +326,14 @@ def test_run_toy_rr_writes_expected_schema(tmp_path):
     spec.set("run", "out", str(tmp_path / "toy"))
     spec.set("optimizer", "epsilon", "0.0625")
     res = run_toy(spec)
+    assert sorted(res) == ["runs", "trace"]
     assert os.path.exists(res["runs"]) and os.path.exists(res["trace"])
-    assert len(res["rows"]) == 2
-    for row in res["rows"]:
+    with open(res["runs"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:
         assert row["status"] == "ok"
-        assert row["distance"] < 0.5
+        assert float(row["distance"]) < 0.5
     header = open(res["runs"]).readline().strip().split(",")
     assert header == ["experiment", "optimizer", "seed", "x_hat",
                       "distance", "samples_spent", "status"]
@@ -532,6 +535,38 @@ def test_run_single_simulates_each_incumbent_once(monkeypatch):
     assert len(circuits) > len(distinct)
     assert len(set(circuits)) == len(circuits)
     assert distinct <= set(circuits)
+
+
+def test_a_run_seeds_one_generator_per_stream(monkeypatch, tmp_path):
+    """Every round draws from its run's one stream, so no round seeds a
+    generator: a toy rr run seeds one per seed, and a qaoa rr_powell job
+    three, its instance's, its start's and its driver's."""
+    seeded, rounds = [], []
+    default_rng, run_round = np.random.default_rng, rr.run_round
+
+    def recording_default_rng(seed=None):
+        seeded.append((seed.entropy, seed.spawn_key))
+        return default_rng(seed)
+
+    def counting_run_round(*args, **kwargs):
+        rounds.append(True)
+        return run_round(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
+    monkeypatch.setattr(rr, "run_round", counting_run_round)
+    spec = RunSpec()
+    spec.set("run", "seeds", "0..2")
+    spec.set("run", "out", str(tmp_path / "toy"))
+    run_toy(spec)
+    assert len(rounds) == 3 * 7
+    assert seeded == [(0, (2,)), (1, (2,)), (2, (2,))]
+
+    del seeded[:], rounds[:]
+    spec = RunSpec()
+    config = optimizer_config(spec, "rr_powell", 300_000)
+    run_single("qaoa", "rr_powell", 5, 0, 1e-9, config, spec)
+    assert len(rounds) > 3
+    assert seeded == [(0, (5, 0)), (0, (5, 1)), (0, (5, 2))]
 
 
 def test_run_vqa_schema_and_aggregate_consistency(tmp_path):
@@ -884,6 +919,14 @@ QAOA_REJECT = ["qaoa", "--sizes", "4", "--seeds", "0..1", "--budget", "300000",
 # every rr_* driver shares, so each driver runs them
 QAOA_POWELL = QAOA_REJECT[:-1] + ["rr_powell"]
 QAOA_AIM = QAOA_REJECT[:-1] + ["rr_aim"]
+# seeds whose runs take more than one step
+QAOA_REJECT_LATE = ["qaoa", "--sizes", "4", "--seeds", "2..3", "--budget",
+                    "300000", "--optimizer", "rr_reject"]
+# a budget that outlasts several deep lines, and a seed (2) in which the
+# early stop ends lines after round 1
+QAOA_REJECT_DEEP = ["qaoa", "--sizes", "3", "--seeds", "0..3", "--budget",
+                    "3000000", "--optimizer", "rr_reject"]
+QAOA_AIM_DEEP = QAOA_REJECT_DEEP[:-1] + ["rr_aim"]
 
 
 KEY_CASES = [
@@ -891,13 +934,14 @@ KEY_CASES = [
     (QAOA_REJECT, [], "optimizer.lipschitz=1.5"),
     (QAOA_REJECT, [], "optimizer.wrap=truncated"),
     (QAOA_REJECT, [], "optimizer.d_max=2"),
-    (QAOA_REJECT, [], "optimizer.max_steps=1"),
-    (QAOA_REJECT, ["optimizer.d_max=3"], "optimizer.early_stop_depth1=yes"),
+    (QAOA_REJECT_LATE, [], "optimizer.max_steps=1"),
+    (QAOA_REJECT_DEEP, ["optimizer.d_max=3"],
+     "optimizer.early_stop_depth1=yes"),
     (QAOA_REJECT, ["optimizer.d_max=3"], "optimizer.epsilon_line=0.5"),
     (QAOA_POWELL, [], "optimizer.d_max=2"),
     (QAOA_POWELL, ["optimizer.d_max=3"], "optimizer.early_stop_depth1=yes"),
     (QAOA_AIM, [], "optimizer.d_max=2"),
-    (QAOA_AIM, ["optimizer.d_max=3"], "optimizer.early_stop_depth1=yes"),
+    (QAOA_AIM_DEEP, ["optimizer.d_max=3"], "optimizer.early_stop_depth1=yes"),
     (QAOA_REJECT, [], "instance.layers=1"),
     (QAOA_REJECT, [], "instance.edge_prob=0.9"),
     (["pqc", "--sizes", "3"] + QAOA_REJECT[3:], [], "instance.layers=1"),

@@ -9,6 +9,7 @@ circuit driver, budget stops, crossings, censored runs, starts that
 cross, and the deeper line search with its depth-1 early stop.
 """
 
+import csv
 import math
 
 import pytest
@@ -32,7 +33,8 @@ CIRCUIT_CASES = [
     ("pqc", "spsa", 60_000, 0.3, {}, "censored"),
     ("qaoa", "rr_reject", 60_000, 0.99, {}, "start"),
     ("pqc", "powell_brent", 60_000, 0.99, {}, "start"),
-    ("qaoa", "rr_reject", 2_000_000, 0.3, DEEP, "crossed"),
+    # a depth-2 line: at depth 3 this run's first line outspends the budget
+    ("qaoa", "rr_reject", 2_000_000, 0.3, dict(DEEP, d_max=2), "crossed"),
     ("qaoa", "rr_powell", 2_000_000, 0.3, DEEP, "budget"),
     ("pqc", "rr_aim", 2_000_000, 1e-9, DEEP, "budget"),
 ]
@@ -95,7 +97,8 @@ def test_toy_runs_report_the_drivers_ledger(optimizer, budget, status,
     for key, value in (("optimizer", optimizer), ("seeds", "0"),
                        ("budget", str(budget)), ("out", str(tmp_path))):
         spec.set("run", key, value)
-    (row,) = toy.run_toy(spec)["rows"]
+    with open(toy.run_toy(spec)["runs"], newline="") as fh:
+        (row,) = csv.DictReader(fh)
     (counting,) = bandits
     assert row["status"] == status
-    assert counting.count == row["samples_spent"]
+    assert counting.count == int(row["samples_spent"])

@@ -396,15 +396,14 @@ def _pqc_line():
 @pytest.mark.parametrize("bandit", [_wedge_bandit(1.0), _pqc_line()],
                          ids=["gaussian", "pqc"])
 def test_round_draws_its_arms_in_order_from_one_stream(bandit):
-    """Round t's values are sample_mean at each surviving arm, in grid
-    order, on the one stream rng.child(t)."""
-    rng = SeededRng(23, key=(4,))
-    state = rr.RRState()
-    for _ in range(3):
-        state = rr.run_round(state, bandit, rr.RRConfig(2.0 ** -3, 0.1), rng)
+    """rr.run's rounds draw from the run's one stream: each round's values
+    are sample_mean at its surviving arms, in grid order, on one numpy
+    Generator that drew every earlier round's arms first."""
+    _, state = rr.run(bandit, rr.RRConfig(2.0 ** -3, 0.1),
+                      SeededRng(23, key=(4,)))
     assert [rec.round for rec in state.trace] == [1, 2, 3]
+    stream = np.random.default_rng(np.random.SeedSequence(23, spawn_key=(4,)))
     for rec in state.trace:
-        stream = rng.child(rec.round)
         expect = [bandit.sample_mean(x, rec.best.pulls, stream)
                   for x in rec.locations.tolist()]
         assert rec.values.tobytes() == np.array(expect).tobytes()
